@@ -32,7 +32,6 @@ from .model import ModelConfig, TargetModel
 from .speculation import (
     NODE_BUDGET_PRESETS,
     TreeTopology,
-    build_mask,
     preset_topology,
     resolve_topology,
 )
@@ -298,27 +297,24 @@ def tree_attention_max_diff(
 ) -> float:
     """Max |tree-masked logits - sequential path re-decode| over all nodes."""
     tokens = rng.integers(0, model.config.vocab_size, size=topology.node_count)
-    mask = build_mask(topology)
-    with T.no_grad():
-        cache = model.new_cache()
-        model.forward(prompt, cache)
-        base = cache.length
-        tree_cache = cache.clone()
-        tout = model.forward(
-            tokens, tree_cache, mask=mask, positions=base + np.asarray(topology.depth)
-        )
-        worst = 0.0
-        for node in range(topology.node_count):
-            path = []
-            j = node
-            while j >= 0:
-                path.append(j)
-                j = topology.parent[j]
-            path.reverse()
-            seq_cache = cache.clone()
-            out = model.forward([int(tokens[i]) for i in path], seq_cache)
-            diff = np.abs(out.logits.data[-1] - tout.logits.data[node]).max()
-            worst = max(worst, float(diff))
+    cache = model.new_cache()
+    model.forward(prompt, cache)
+    base = cache.length
+    tout = model.forward(
+        tokens, cache, mask=topology.mask, positions=base + np.asarray(topology.depth)
+    )
+    worst = 0.0
+    for node in range(topology.node_count):
+        path = []
+        j = node
+        while j >= 0:
+            path.append(j)
+            j = topology.parent[j]
+        path.reverse()
+        cache.truncate(base)
+        out = model.forward([int(tokens[i]) for i in path], cache)
+        diff = np.abs(out.logits.data[-1] - tout.logits.data[node]).max()
+        worst = max(worst, float(diff))
     return worst
 
 

@@ -5,6 +5,9 @@ self-attention, and one LM head per drafting position.
 Every ablation variant is reachable through ``DrafterConfig`` alone; the
 all-off configuration reproduces the independent-head (Medusa-style)
 computation graph.
+
+``draft`` (one decode step over the rolling caches) runs tape-free on plain
+arrays; ``sequence_logits`` (training) runs on the autodiff tape.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ import numpy as np
 
 from . import tensor as T
 from .model import TargetModel
-from .nn import LayerKV, Linear, Module, Parameter, RMSNorm, TransformerLayer, causal_mask_bias
-from .tensor import DimensionError, Tensor
+from .nn import LayerKV, Linear, Module, RMSNorm, TransformerLayer, causal_mask_bias, silu
+from .tensor import DimensionError, Parameter, Tensor
 
 ADAPTATION_MODES = ("staged", "one_layer", "none")
 
@@ -77,9 +80,9 @@ def topk_lists(
 class DraftState:
     """Rolling KV caches for the adaptation layers, one entry per committed draft step."""
 
-    def __init__(self, n_heads: int, head_dim: int):
-        self.kv1 = LayerKV(n_heads, head_dim)
-        self.kv2 = LayerKV(n_heads, head_dim)
+    def __init__(self, n_heads: int, head_dim: int, capacity: int):
+        self.kv1 = LayerKV(n_heads, head_dim, capacity)
+        self.kv2 = LayerKV(n_heads, head_dim, capacity)
 
     @property
     def length(self) -> int:
@@ -101,7 +104,7 @@ class LowRankHead(Module):
         self.down = Linear(dim, rank, rng, bias=False)
         self.up = Linear(rank, vocab, rng, bias=False)
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x):
         return self.up(self.down(x))
 
 
@@ -117,6 +120,7 @@ class Drafter(Module):
         self._token_emb = target.token_emb  # frozen, checkpointed with the target
         self._hidden_dim = d
         self._vocab = mc.vocab_size
+        self._max_seq_len = mc.max_seq_len  # bounds the draft steps of one session
         sal_ffn = config.sal_ffn_dim or 4 * d
 
         if config.adaptation != "none":
@@ -147,7 +151,8 @@ class Drafter(Module):
     # -- state ---------------------------------------------------------------
 
     def new_state(self) -> DraftState:
-        return DraftState(self.config.sal_heads, self._hidden_dim // self.config.sal_heads)
+        heads = self.config.sal_heads
+        return DraftState(heads, self._hidden_dim // heads, self._max_seq_len)
 
     def attach_token_embedding(self, param: Parameter) -> None:
         """Rebind the frozen shared embedding (e.g. to a promoted target copy)."""
@@ -168,30 +173,35 @@ class Drafter(Module):
             raise IndexError(f"sampled token out of range [0, {self._vocab})")
         return T.embedding(self._token_emb, ids)
 
-    def adapt(self, h_t: Tensor, next_token: int, state: DraftState) -> tuple[Tensor, Tensor]:
-        """One decode step: transform (h_t, sampled-token embedding) through the
-        adaptation layers, extending their caches by one position."""
+    def adapt(
+        self, h_t: np.ndarray, next_token: int, state: DraftState
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One decode step, tape-free: transform (h_t, sampled-token embedding)
+        through the adaptation layers, extending their caches by one position."""
+        tok = int(next_token)
+        if not 0 <= tok < self._vocab:  # checked even where the embedding is unused
+            raise IndexError(f"sampled token out of range [0, {self._vocab})")
         if self.config.adaptation == "none":
-            # range check still applies even though the embedding is unused
-            if not 0 <= int(next_token) < self._vocab:
-                raise IndexError(f"sampled token out of range [0, {self._vocab})")
             return h_t, h_t
-        e = self._sampled_embedding(int(next_token))
-        x1 = self.fc1(T.concat([h_t, e], axis=-1))
-        h1 = T.reshape(self.sal1(T.reshape(x1, (1, -1)), cache=state.kv1), (-1,))
+        if self.config.use_sampled_token:
+            e = self._token_emb.data[tok]
+        else:
+            e = np.zeros_like(h_t)
+        x1 = self.fc1(np.concatenate([h_t, e]))
+        h1 = self.sal1(x1[None], cache=state.kv1)[0]
         if self.config.adaptation == "one_layer":
             return h1, h1
-        x2 = self.fc2(T.concat([h1, e], axis=-1))
-        h2 = T.reshape(self.sal2(T.reshape(x2, (1, -1)), cache=state.kv2), (-1,))
-        return h1, h2
+        x2 = self.fc2(np.concatenate([h1, e]))
+        return h1, self.sal2(x2[None], cache=state.kv2)[0]
 
     def adapt_sequence(self, h: Tensor, next_tokens: np.ndarray) -> tuple[Tensor, Tensor]:
         """Teacher-forced adaptation of a whole sequence ([..., T, d]) with full
-        causal attention; equivalent to stepping ``adapt`` position by position."""
+        causal attention, on the tape; equivalent to stepping ``adapt`` position
+        by position."""
         if self.config.adaptation == "none":
             return h, h
         e = self._sampled_embedding(next_tokens)
-        bias = causal_mask_bias(h.shape[-2], 0, h.data.dtype)
+        bias = causal_mask_bias(h.shape[-2], h.data.dtype)
         x1 = self.fc1(T.concat([h, e], axis=-1))
         h1 = self.sal1(x1, mask_bias=bias)
         if self.config.adaptation == "one_layer":
@@ -201,18 +211,16 @@ class Drafter(Module):
 
     # -- stage 2: auto-embedding ---------------------------------------------------
 
-    def auto_embed(self, h1: Tensor, h2: Tensor) -> Tensor:
+    def auto_embed(self, h1, h2):
         """Project the adapted states into K per-head rows and let them attend
-        to each other. Input [..., d]; output [..., K, d]. The first floor(K/2)
-        rows derive from h1, the rest from h2."""
+        to each other. Input [..., d]; output [..., K, d], Tensors or arrays
+        alike. The first floor(K/2) rows derive from h1, the rest from h2."""
         k_half = self.config.K // 2
-        rows = [
-            T.silu(self.mlps[k](h1 if k < k_half else h2))
-            for k in range(self.config.K)
-        ]
-        out = T.stack(rows, axis=-2)
+        rows = [silu(self.mlps[k](h1 if k < k_half else h2)) for k in range(self.config.K)]
+        taped = isinstance(h1, Tensor)
+        out = T.stack(rows, axis=-2) if taped else np.stack(rows, axis=-2)
         if self.config.use_positional_encoding:
-            out = T.add(out, self.pe)
+            out = out + (self.pe if taped else self.pe.data)
         if self.config.use_auto_embedding:
             for layer in self.encoder:
                 out = layer(out)  # no mask: every head attends to every head
@@ -221,15 +229,20 @@ class Drafter(Module):
 
     # -- stage 3: logits --------------------------------------------------------------
 
-    def head_logits_tensor(self, attn_o: Tensor) -> Tensor:
-        """Map row k through LM head k: [..., K, d] -> [..., K, V]."""
+    def all_head_logits(self, attn_o):
+        """Map row k through LM head k: [..., K, d] -> [..., K, V], Tensors or
+        arrays alike."""
+        taped = isinstance(attn_o, Tensor)
         outs = [
-            self.lm_heads[k](T.select(attn_o, k, axis=-2)) for k in range(self.config.K)
+            self.lm_heads[k](T.select(attn_o, k, axis=-2) if taped else attn_o[..., k, :])
+            for k in range(self.config.K)
         ]
-        return T.stack(outs, axis=-2)
+        return T.stack(outs, axis=-2) if taped else np.stack(outs, axis=-2)
 
-    def head_logits(self, attn_o: Tensor) -> DraftOutput:
-        d_logits = self.head_logits_tensor(attn_o)
+    def head_logits(self, attn_o) -> DraftOutput:
+        d_logits = self.all_head_logits(attn_o)
+        if not isinstance(d_logits, Tensor):
+            d_logits = Tensor(d_logits)  # the one NaN/Inf check of a draft step
         return DraftOutput(
             d_logits=d_logits,
             topk=topk_lists(d_logits.data, self.config.top_k_per_head),
@@ -237,14 +250,14 @@ class Drafter(Module):
 
     # -- composition ---------------------------------------------------------------------
 
-    def draft(self, h_t: Tensor, next_token: int, state: DraftState) -> DraftOutput:
+    def draft(self, h_t: np.ndarray, next_token: int, state: DraftState) -> DraftOutput:
         h1, h2 = self.adapt(h_t, next_token, state)
         return self.head_logits(self.auto_embed(h1, h2))
 
     def sequence_logits(self, h: Tensor, next_tokens: np.ndarray) -> Tensor:
         """Teacher-forced per-position draft logits: [..., T, d] -> [..., T, K, V]."""
         h1, h2 = self.adapt_sequence(h, next_tokens)
-        return self.head_logits_tensor(self.auto_embed(h1, h2))
+        return self.all_head_logits(self.auto_embed(h1, h2))
 
 
 def variant_config(name: str, base: DrafterConfig) -> DrafterConfig:

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as T
 from .drafter import DraftOutput, Drafter, topk_lists
 from .model import KVCache, TargetModel, sample
 from .speculation import TreeTopology, commit, expand_tree, sample_chain_tree, verify
@@ -66,13 +65,13 @@ class DrafterSession:
         return self.drafter.config.K
 
     def draft(self, h_t: np.ndarray, last_token: int, model_cache: KVCache) -> DraftOutput:
-        return self.drafter.draft(Tensor(h_t), last_token, self.state)
+        return self.drafter.draft(h_t, last_token, self.state)
 
 
 class OracleDrafterSession:
     """Test hook: heads wired to the target's own greedy continuation.
 
-    Drafting clones the committed cache and rolls the target forward K steps,
+    Drafting rolls the committed cache forward K steps and truncates it back,
     so head k's logits are exactly the target's logits for position t+1+k.
     With a chain topology and greedy verification every round accepts all K
     drafts, the theoretical upper bound.
@@ -89,14 +88,16 @@ class OracleDrafterSession:
         return self.k
 
     def draft(self, h_t: np.ndarray, last_token: int, model_cache: KVCache) -> DraftOutput:
-        sim = model_cache.clone()
+        base = model_cache.length
         rows = []
         tok = last_token
-        with T.no_grad():
+        try:
             for _ in range(self.k):
-                out = self.model.forward([tok], sim)
+                out = self.model.forward([tok], model_cache)
                 rows.append(out.logits.data[0])
                 tok = int(np.argmax(rows[-1]))
+        finally:
+            model_cache.truncate(base)
         d_logits = np.stack(rows)
         return DraftOutput(d_logits=Tensor(d_logits), topk=topk_lists(d_logits, self.top_k))
 
@@ -113,18 +114,17 @@ def ar_generate(
         raise EngineError("prompt must be non-empty")
     start = time.perf_counter()
     cache = model.new_cache()
-    with T.no_grad():
-        out = model.forward(prompt, cache)
+    out = model.forward(prompt, cache)
+    tok = sample(out.logits.data[-1], temperature, rng)
+    new = [tok]
+    events = []
+    step = 0
+    while len(new) < max_new_tokens:
+        step += 1
+        out = model.forward([tok], cache)
         tok = sample(out.logits.data[-1], temperature, rng)
-        new = [tok]
-        events = []
-        step = 0
-        while len(new) < max_new_tokens:
-            step += 1
-            out = model.forward([tok], cache)
-            tok = sample(out.logits.data[-1], temperature, rng)
-            new.append(tok)
-            events.append(StepEvent(step=step, nodes=1, accepted_len=0, bonus=tok))
+        new.append(tok)
+        events.append(StepEvent(step=step, nodes=1, accepted_len=0, bonus=tok))
     return GenerationResult(
         prompt_len=len(prompt),
         tokens=new[:max_new_tokens],
@@ -154,43 +154,42 @@ def speculative_generate(
     start = time.perf_counter()
     cache = model.new_cache()
     events: list[StepEvent] = []
-    with T.no_grad():
-        out = model.forward(prompt, cache)
-        tok = sample(out.logits.data[-1], temperature, rng)
-        h = out.hidden.data[-1]
-        new = [tok]
-        step = 0
-        while len(new) < max_new_tokens:
-            step += 1
-            draft = session.draft(h, tok, cache)
-            if rule == "chain":
-                tree = sample_chain_tree(draft, session.depth, tok, rng)
-            else:
-                tree = expand_tree(draft, topology, tok)
-            base = cache.length
-            if base + tree.node_count > model.config.max_seq_len:
-                raise EngineError(
-                    "context window exhausted; lower max_new_tokens or the tree size"
-                )
-            tout = model.forward(
-                tree.tokens, cache, mask=tree.mask, positions=base + tree.positions
+    out = model.forward(prompt, cache)
+    tok = sample(out.logits.data[-1], temperature, rng)
+    h = out.hidden.data[-1]
+    new = [tok]
+    step = 0
+    while len(new) < max_new_tokens:
+        step += 1
+        draft = session.draft(h, tok, cache)
+        if rule == "chain":
+            tree = sample_chain_tree(draft, session.depth, tok, rng)
+        else:
+            tree = expand_tree(draft, topology, tok)
+        base = cache.length
+        if base + tree.node_count > model.config.max_seq_len:
+            raise EngineError(
+                "context window exhausted; lower max_new_tokens or the tree size"
             )
-            result = verify(
-                tree, tout.logits, rule, temperature, rng, epsilon=epsilon, delta=delta
+        tout = model.forward(
+            tree.tokens, cache, mask=tree.mask, positions=base + tree.positions
+        )
+        result = verify(
+            tree, tout.logits, rule, temperature, rng, epsilon=epsilon, delta=delta
+        )
+        bonus = commit(result, tree, cache, getattr(session, "state", None))
+        new.extend(int(tree.tokens[i]) for i in result.accepted_nodes[1:])
+        new.append(bonus)
+        events.append(
+            StepEvent(
+                step=step,
+                nodes=tree.node_count,
+                accepted_len=result.accepted_len,
+                bonus=bonus,
             )
-            bonus = commit(result, tree, cache, getattr(session, "state", None))
-            new.extend(int(tree.tokens[i]) for i in result.accepted_nodes[1:])
-            new.append(bonus)
-            events.append(
-                StepEvent(
-                    step=step,
-                    nodes=tree.node_count,
-                    accepted_len=result.accepted_len,
-                    bonus=bonus,
-                )
-            )
-            h = tout.hidden.data[result.accepted_nodes[-1]]
-            tok = bonus
+        )
+        h = tout.hidden.data[result.accepted_nodes[-1]]
+        tok = bonus
     return GenerationResult(
         prompt_len=len(prompt),
         tokens=new[:max_new_tokens],

@@ -1,4 +1,8 @@
-"""Frozen-able causal decoder target model with KV caching and tree-masked decoding."""
+"""Frozen-able causal decoder target model with KV caching and tree-masked decoding.
+
+``forward`` (cached decoding) runs tape-free on plain arrays; ``forward_batch``
+(training, and the reference the cached path is tested against) runs on the
+autodiff tape."""
 
 from __future__ import annotations
 
@@ -42,8 +46,8 @@ class ModelConfig:
 class KVCache:
     """Per-layer key/value store for one decoding session; all layers share a length."""
 
-    def __init__(self, n_layers: int, n_heads: int, head_dim: int):
-        self.layers = [LayerKV(n_heads, head_dim) for _ in range(n_layers)]
+    def __init__(self, n_layers: int, n_heads: int, head_dim: int, capacity: int):
+        self.layers = [LayerKV(n_heads, head_dim, capacity) for _ in range(n_layers)]
 
     @property
     def length(self) -> int:
@@ -74,11 +78,6 @@ class KVCache:
         for layer in self.layers:
             layer.select(base, offsets)
 
-    def clone(self) -> "KVCache":
-        out = KVCache.__new__(KVCache)
-        out.layers = [layer.clone() for layer in self.layers]
-        return out
-
 
 @dataclass
 class TargetOutput:
@@ -107,7 +106,8 @@ class TargetModel(Module):
         return self.config.hidden_dim // self.config.n_heads
 
     def new_cache(self) -> KVCache:
-        return KVCache(self.config.n_layers, self.config.n_heads, self.head_dim)
+        c = self.config
+        return KVCache(c.n_layers, c.n_heads, self.head_dim, c.max_seq_len)
 
     def forward(
         self,
@@ -121,6 +121,9 @@ class TargetModel(Module):
         Without a mask, attention is causal over cache + new tokens. With a
         (square, boolean) tree mask, new token i additionally attends to new
         token j iff mask[i][j]; ``positions`` must then be supplied.
+
+        Runs tape-free; ``hidden`` and ``logits`` are each wrapped in a
+        ``Tensor`` once, which raises ``NonFiniteError`` on NaN or Inf.
         """
         tokens = np.asarray(tokens, dtype=np.int64)
         n = tokens.shape[0] if tokens.ndim else 0
@@ -148,15 +151,15 @@ class TargetModel(Module):
 
         dt = self.token_emb.data.dtype
         if mask is None:
-            bias = causal_mask_bias(n, base, dt) if n > 1 else None
+            bias = causal_mask_bias(n, dt) if n > 1 else None
         else:
-            bias = tree_mask_bias(mask, base, dt)
+            bias = tree_mask_bias(mask, dt)
 
-        x = T.add(T.embedding(self.token_emb, tokens), T.embedding(self.pos_emb, positions))
+        x = T.lookup(self.token_emb.data, tokens) + T.lookup(self.pos_emb.data, positions)
         for layer, kv in zip(self.layers, cache.layers):
             x = layer(x, cache=kv, mask_bias=bias)
         hidden = self.final_norm(x)
-        return TargetOutput(hidden=hidden, logits=self.lm_head(hidden))
+        return TargetOutput(hidden=Tensor(hidden), logits=Tensor(self.lm_head(hidden)))
 
     def forward_batch(self, tokens: np.ndarray) -> TargetOutput:
         """Causal full-sequence forward over [B, T] token ids (no cache)."""
@@ -167,7 +170,7 @@ class TargetModel(Module):
         if t > self.config.max_seq_len:
             raise DimensionError("sequence longer than max_seq_len")
         positions = np.arange(t)
-        bias = causal_mask_bias(t, 0, self.token_emb.data.dtype)
+        bias = causal_mask_bias(t, self.token_emb.data.dtype)
         x = T.add(T.embedding(self.token_emb, tokens), T.embedding(self.pos_emb, positions))
         for layer in self.layers:
             x = layer(x, mask_bias=bias)

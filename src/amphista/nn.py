@@ -1,4 +1,11 @@
-"""Layer building blocks shared by the target model and the draft module."""
+"""Layer building blocks shared by the target model and the draft module.
+
+Every layer accepts either input type. A ``Tensor`` runs the autodiff tape
+(training and gradient checks). A plain ``np.ndarray`` runs tape-free numpy
+(inference); only this path takes a KV cache. The array path checks nothing
+for NaN or Inf itself: its callers wrap each forward's outputs in a
+``Tensor`` once, which checks them.
+"""
 
 from __future__ import annotations
 
@@ -83,7 +90,12 @@ class Linear(Module):
         self.weight = Parameter(uniform_init(rng, (in_dim, out_dim), in_dim))
         self.bias = Parameter(uniform_init(rng, (out_dim,), in_dim)) if bias else None
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x):
+        if isinstance(x, np.ndarray):
+            out = x @ self.weight.data
+            if self.bias is not None:
+                out += self.bias.data
+            return out
         out = T.matmul(x, self.weight)
         if self.bias is not None:
             out = T.add(out, self.bias)
@@ -95,42 +107,66 @@ class RMSNorm(Module):
         self.gain = Parameter(np.ones(dim, dtype=T.default_dtype()))
         self._eps = eps
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x):
+        if isinstance(x, np.ndarray):
+            # sum / n is what ndarray.mean computes, bit for bit, with less overhead
+            ms = (x * x).sum(axis=-1, keepdims=True) / x.shape[-1] + self._eps
+            return x * ms**-0.5 * self.gain.data
         return T.rms_norm(x, self.gain, self._eps)
 
 
-class LayerKV:
-    """Per-layer rolling key/value store, shape [len, n_heads, head_dim]."""
+def silu(x):
+    """x * sigmoid(x) on a Tensor (taped) or on an array."""
+    if isinstance(x, Tensor):
+        return T.silu(x)
+    # T.silu's sigmoid bit for bit, with one exp: exp(min(x, 0)) is exp(-|x|) if x < 0, else 1
+    e = np.exp(-np.abs(x))
+    return x * (np.where(x < 0, e, 1.0) / (1.0 + e))
 
-    def __init__(self, n_heads: int, head_dim: int):
+
+class LayerKV:
+    """Per-layer key/value store: preallocated [capacity, n_heads, head_dim]
+    buffers and a length pointer. ``k`` and ``v`` are [len, n_heads, head_dim]
+    views; nothing here copies the cached rows."""
+
+    def __init__(self, n_heads: int, head_dim: int, capacity: int):
         dt = T.default_dtype()
-        self.k = np.zeros((0, n_heads, head_dim), dtype=dt)
-        self.v = np.zeros((0, n_heads, head_dim), dtype=dt)
+        self._k = np.zeros((capacity, n_heads, head_dim), dtype=dt)
+        self._v = np.zeros((capacity, n_heads, head_dim), dtype=dt)
+        self.length = 0
 
     @property
-    def length(self) -> int:
-        return self.k.shape[0]
+    def k(self) -> np.ndarray:
+        return self._k[: self.length]
+
+    @property
+    def v(self) -> np.ndarray:
+        return self._v[: self.length]
 
     def extend(self, k_new: np.ndarray, v_new: np.ndarray) -> None:
-        self.k = np.concatenate([self.k, k_new], axis=0)
-        self.v = np.concatenate([self.v, v_new], axis=0)
+        """Write [T, n_heads, head_dim] rows after the cached ones, in place."""
+        start, end = self.length, self.length + k_new.shape[0]
+        if end > self._k.shape[0]:
+            raise DimensionError(
+                f"KV cache overflow: {start} cached + {k_new.shape[0]} new > "
+                f"capacity {self._k.shape[0]}"
+            )
+        self._k[start:end] = k_new
+        self._v[start:end] = v_new
+        self.length = end
 
     def truncate(self, new_len: int) -> None:
-        if new_len > self.length:
+        if not 0 <= new_len <= self.length:
             raise DimensionError(f"cannot truncate cache of length {self.length} to {new_len}")
-        self.k = np.ascontiguousarray(self.k[:new_len])
-        self.v = np.ascontiguousarray(self.v[:new_len])
+        self.length = new_len
 
     def select(self, base: int, offsets: list[int]) -> None:
-        keep = list(range(base)) + [base + o for o in offsets]
-        self.k = np.ascontiguousarray(self.k[keep])
-        self.v = np.ascontiguousarray(self.v[keep])
-
-    def clone(self) -> "LayerKV":
-        out = LayerKV(self.k.shape[1], self.k.shape[2])
-        out.k = self.k.copy()
-        out.v = self.v.copy()
-        return out
+        """Keep rows [0, base) and then base + offset for each offset, in order."""
+        rows = base + np.asarray(offsets, dtype=np.int64)
+        end = base + len(offsets)
+        self._k[base:end] = self._k[rows]
+        self._v[base:end] = self._v[rows]
+        self.length = end
 
 
 def _split_heads(x: Tensor, n_heads: int) -> Tensor:
@@ -152,26 +188,22 @@ def _merge_heads(x: Tensor) -> Tensor:
     return T.reshape(x, (*lead, t, h * dh))
 
 
-def causal_mask_bias(n_query: int, n_cached: int, dtype) -> np.ndarray:
-    """Additive mask for queries appended after ``n_cached`` committed entries."""
-    total = n_cached + n_query
-    bias = np.zeros((n_query, total), dtype=dtype)
-    cols = np.arange(total)[None, :]
-    rows = np.arange(n_query)[:, None]
-    bias[cols > n_cached + rows] = MASKED_SCORE
-    return bias
+def causal_mask_bias(n: int, dtype) -> np.ndarray:
+    """Additive [n, n] mask over new tokens: token i sees new tokens j <= i."""
+    return np.triu(np.full((n, n), MASKED_SCORE, dtype=dtype), k=1)
 
 
-def tree_mask_bias(tree_mask: np.ndarray, n_cached: int, dtype) -> np.ndarray:
-    """Additive mask from a boolean ancestor-or-self matrix over new tokens."""
-    n = tree_mask.shape[0]
-    bias = np.zeros((n, n_cached + n), dtype=dtype)
-    bias[:, n_cached:][~tree_mask] = MASKED_SCORE
-    return bias
+def tree_mask_bias(tree_mask: np.ndarray, dtype) -> np.ndarray:
+    """Additive [n, n] mask from a boolean ancestor-or-self matrix over new tokens."""
+    return np.where(tree_mask, 0.0, MASKED_SCORE).astype(dtype, copy=False)
 
 
 class SelfAttention(Module):
-    """Multi-head self-attention over [..., T, d] with optional KV cache."""
+    """Multi-head self-attention over [..., T, d].
+
+    ``mask_bias`` is an additive [T, T] mask over the new tokens' own keys;
+    keys already in ``cache`` (array input only) are visible to every query.
+    """
 
     def __init__(self, dim: int, n_heads: int, rng: np.random.Generator):
         if dim % n_heads:
@@ -183,27 +215,14 @@ class SelfAttention(Module):
         self._n_heads = n_heads
         self._scale = 1.0 / np.sqrt(dim // n_heads)
 
-    def __call__(
-        self,
-        x: Tensor,
-        cache: LayerKV | None = None,
-        mask_bias: np.ndarray | None = None,
-    ) -> Tensor:
+    def __call__(self, x, cache: LayerKV | None = None, mask_bias: np.ndarray | None = None):
+        if isinstance(x, np.ndarray):
+            return self._attend(x, cache, mask_bias)
+        if cache is not None:
+            raise TypeError("cached attention takes an np.ndarray input, not a Tensor")
         q = _split_heads(self.wq(x), self._n_heads)
         k = _split_heads(self.wk(x), self._n_heads)
         v = _split_heads(self.wv(x), self._n_heads)
-
-        if cache is not None:
-            if x.ndim != 2:
-                raise DimensionError("cached attention expects an unbatched [T, d] input")
-            k_new = np.swapaxes(k.data, 0, 1)  # [T, H, dh]
-            v_new = np.swapaxes(v.data, 0, 1)
-            k_all = np.concatenate([cache.k, k_new], axis=0)
-            v_all = np.concatenate([cache.v, v_new], axis=0)
-            cache.extend(k_new, v_new)
-            k = Tensor(np.swapaxes(k_all, 0, 1).copy())
-            v = Tensor(np.swapaxes(v_all, 0, 1).copy())
-
         scores = T.mul(
             T.matmul(q, T.swap_last_axes(k)),
             Tensor(np.asarray(self._scale, dtype=x.data.dtype)),
@@ -214,14 +233,33 @@ class SelfAttention(Module):
         out = _merge_heads(T.matmul(probs, v))
         return self.wo(out)
 
+    def _attend(self, x: np.ndarray, cache: LayerKV | None, mask_bias) -> np.ndarray:
+        *lead, t, d = x.shape
+        split = (*lead, t, self._n_heads, d // self._n_heads)
+        q, k, v = (proj(x).reshape(split) for proj in (self.wq, self.wk, self.wv))
+        if cache is not None:
+            if lead:
+                raise DimensionError("cached attention expects an unbatched [T, d] input")
+            cache.extend(k, v)
+            k, v = cache.k, cache.v
+        q, k, v = (y.swapaxes(-3, -2) for y in (q, k, v))  # [..., H, T, dh]
+        scores = q @ k.swapaxes(-1, -2)
+        scores *= self._scale
+        if mask_bias is not None:
+            scores[..., -t:] += mask_bias
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=-1, keepdims=True)
+        return self.wo((scores @ v).swapaxes(-3, -2).reshape(*lead, t, d))
+
 
 class FeedForward(Module):
     def __init__(self, dim: int, hidden: int, rng: np.random.Generator):
         self.w1 = Linear(dim, hidden, rng, bias=False)
         self.w2 = Linear(hidden, dim, rng, bias=False)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.w2(T.silu(self.w1(x)))
+    def __call__(self, x):
+        return self.w2(silu(self.w1(x)))
 
 
 class TransformerLayer(Module):
@@ -247,14 +285,9 @@ class TransformerLayer(Module):
         self.ffn = FeedForward(dim, ffn_dim, rng)
         self.out_norm = RMSNorm(dim, eps) if out_norm else None
 
-    def __call__(
-        self,
-        x: Tensor,
-        cache: LayerKV | None = None,
-        mask_bias: np.ndarray | None = None,
-    ) -> Tensor:
-        h = T.add(x, self.attn(self.norm1(x), cache=cache, mask_bias=mask_bias))
-        h = T.add(h, self.ffn(self.norm2(h)))
+    def __call__(self, x, cache: LayerKV | None = None, mask_bias: np.ndarray | None = None):
+        h = x + self.attn(self.norm1(x), cache=cache, mask_bias=mask_bias)
+        h = h + self.ffn(self.norm2(h))
         if self.out_norm is not None:
             h = self.out_norm(h)
         return h

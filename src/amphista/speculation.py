@@ -9,6 +9,7 @@ hold one path per line, so published sparse trees can be pasted in directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,13 @@ class TreeTopology:
     @property
     def depth_max(self) -> int:
         return max(self.depth)
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """``build_mask(self)``, computed once and read-only."""
+        mask = build_mask(self)
+        mask.flags.writeable = False
+        return mask
 
     def children(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.node_count)]
@@ -216,10 +224,7 @@ def expand_tree(draft, topology: TreeTopology, last_token: int) -> DraftTree:
                 f"{head + 1}'s top-k of {len(draft.topk[head])}"
             )
         tokens[i], probs[i] = draft.topk[head][choice]
-    dists = _head_dists(draft)
-    return DraftTree(
-        topology=topology, tokens=tokens, probs=probs, mask=build_mask(topology), head_dists=dists
-    )
+    return DraftTree(topology=topology, tokens=tokens, probs=probs, mask=topology.mask)
 
 
 def sample_chain_tree(
@@ -238,7 +243,7 @@ def sample_chain_tree(
         tokens[k + 1] = tok
         probs[k + 1] = dists[k][tok]
     return DraftTree(
-        topology=topology, tokens=tokens, probs=probs, mask=build_mask(topology), head_dists=dists
+        topology=topology, tokens=tokens, probs=probs, mask=topology.mask, head_dists=dists
     )
 
 

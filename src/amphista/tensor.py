@@ -3,7 +3,10 @@
 numpy provides storage and BLAS; this module adds the tape. Every op
 validates that its output is finite and raises ``NonFiniteError`` otherwise,
 so numerical problems surface at the op that caused them instead of three
-modules later.
+modules later. The tape serves training and gradient checks. Inference runs
+the same layers on plain arrays, with no tape and no per-op check, and wraps
+each forward's outputs in a ``Tensor`` once, so a NaN or Inf still raises
+``NonFiniteError`` before any token is chosen from them.
 
 Gradients accumulate: callers zero them between optimizer steps. The tape is
 built only while gradients are enabled (see ``no_grad``) and only for outputs
@@ -44,6 +47,7 @@ __all__ = [
     "silu",
     "rms_norm",
     "embedding",
+    "lookup",
     "topk",
     "cross_entropy",
     "backward",
@@ -81,7 +85,7 @@ def is_grad_enabled() -> bool:
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable tape construction inside the block (inference hot paths)."""
+    """Disable tape construction inside the block (e.g. a frozen model's taped forward)."""
     global _GRAD_ENABLED
     prev = _GRAD_ENABLED
     _GRAD_ENABLED = False
@@ -518,14 +522,18 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     return _result(out, (x, gain), bwd)
 
 
+def lookup(table: np.ndarray, ids) -> np.ndarray:
+    """Rows of a plain array, with the id range check of ``embedding``."""
+    ids = np.asarray(ids)
+    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+        raise IndexError(f"token id out of range [0, {table.shape[0]}) in embedding lookup")
+    return table[ids]
+
+
 def embedding(table: Tensor, ids) -> Tensor:
     """Row lookup: ids of any shape -> output of shape ids.shape + (dim,)."""
     ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-        raise IndexError(
-            f"token id out of range [0, {table.data.shape[0]}) in embedding lookup"
-        )
-    out = table.data[ids]
+    out = lookup(table.data, ids)
 
     def bwd(g):
         buf = np.zeros_like(table.data)

@@ -1,6 +1,8 @@
 """Draft module: adaptation layers, half-split routing, auto-embedding block,
 LM heads, ablation variants, cache rollback, and gradient integrity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,14 +10,14 @@ from amphista import tensor as T
 from amphista.drafter import Drafter, DrafterConfig, VARIANT_NAMES, variant_config
 from amphista.gradcheck import grad_check
 from amphista.model import ModelConfig, TargetModel
-from amphista.tensor import DimensionError, Tensor
+from amphista.tensor import DimensionError, NonFiniteError, Tensor
 from amphista.training import LossWeights, batch_draft_logits, compute_losses
 
 from conftest import make_tiny_drafter, make_tiny_model
 
 
 def rand_hidden(rng, d=16):
-    return Tensor(rng.standard_normal(d))
+    return rng.standard_normal(d)
 
 
 class TestAdapt:
@@ -53,10 +55,10 @@ class TestAdapt:
         h1, _ = drafter.adapt(h, tok, state)
 
         e = tiny_model.token_emb.data[tok]
-        x = np.concatenate([h.data, e]) @ drafter.fc1.weight.data + drafter.fc1.bias.data
+        x = np.concatenate([h, e]) @ drafter.fc1.weight.data + drafter.fc1.bias.data
         rms = np.sqrt((x * x).mean() + 1e-5)
         oracle = (x / rms) * drafter.sal1.out_norm.gain.data
-        assert np.abs(h1.data - oracle).max() <= 1e-12
+        assert np.abs(h1 - oracle).max() <= 1e-12
 
     def test_one_layer_routes_both_from_single_sal(self, tiny_model):
         drafter = make_tiny_drafter(tiny_model, adaptation="one_layer")
@@ -73,9 +75,9 @@ class TestAdapt:
         off = make_tiny_drafter(tiny_model, seed=seed, use_sampled_token=False)
         assert on.parameter_count() == off.parameter_count()
         h = rand_hidden(np.random.default_rng(5))
-        out_on = on.adapt(h, 3, on.new_state())[0].data
-        out_off = off.adapt(h, 3, off.new_state())[0].data
-        out_off2 = off.adapt(h, 7, off.new_state())[0].data
+        out_on = on.adapt(h, 3, on.new_state())[0]
+        out_off = off.adapt(h, 3, off.new_state())[0]
+        out_off2 = off.adapt(h, 7, off.new_state())[0]
         assert np.array_equal(out_off, out_off2)  # token no longer matters
         assert not np.array_equal(out_on, out_off)
 
@@ -87,10 +89,10 @@ class TestAutoEmbed:
         )
         rng = np.random.default_rng(6)
         h1, h2 = rand_hidden(rng), rand_hidden(rng)
-        out = drafter.auto_embed(h1, h2).data
+        out = drafter.auto_embed(h1, h2)
         for k in range(4):
             src = h1 if k < 2 else h2
-            want = T.silu(drafter.mlps[k](src)).data
+            want = T.silu(drafter.mlps[k](Tensor(src))).data
             assert np.array_equal(out[k], want)
 
     def test_half_split_routing(self, tiny_model):
@@ -99,9 +101,8 @@ class TestAutoEmbed:
         drafter = make_tiny_drafter(tiny_model, use_auto_embedding=False)
         rng = np.random.default_rng(7)
         h1, h2 = rand_hidden(rng), rand_hidden(rng)
-        base = drafter.auto_embed(h1, h2).data
-        h2_perturbed = Tensor(h2.data + 1e-2)
-        bumped = drafter.auto_embed(h1, h2_perturbed).data
+        base = drafter.auto_embed(h1, h2)
+        bumped = drafter.auto_embed(h1, h2 + 1e-2)
         assert np.array_equal(base[:2], bumped[:2])
         assert np.abs(base[2:] - bumped[2:]).max() > 0
 
@@ -130,9 +131,7 @@ class TestAutoEmbed:
         without = make_tiny_drafter(tiny_model, seed=seed, use_positional_encoding=False)
         rng = np.random.default_rng(9)
         h1, h2 = rand_hidden(rng), rand_hidden(rng)
-        assert np.array_equal(
-            with_pe.auto_embed(h1, h2).data, without.auto_embed(h1, h2).data
-        )
+        assert np.array_equal(with_pe.auto_embed(h1, h2), without.auto_embed(h1, h2))
 
 
 class TestHeadLogits:
@@ -193,24 +192,28 @@ class TestDraftComposition:
         out = tiny_drafter.draft(rand_hidden(np.random.default_rng(14)), 1, tiny_drafter.new_state())
         assert out.d_logits.shape == (4, 24)
 
-    def test_consecutive_drafts_match_uncached_recompute(self, tiny_model, tiny_drafter):
-        """Advancing the adaptation caches changes the output, and the cached
-        stepwise path agrees with a full-sequence recompute."""
+    def test_consecutive_drafts_match_uncached_recompute(self, tiny_model):
+        """For every variant and a low-rank head: advancing the adaptation
+        caches changes the output, and every tape-free cached draft step agrees
+        with the taped full-sequence ``sequence_logits`` at that position."""
         rng = np.random.default_rng(15)
-        h_seq = rng.standard_normal((2, 16))
-        toks = np.array([3, 7])
-        state = tiny_drafter.new_state()
-        first = tiny_drafter.draft(Tensor(h_seq[0]), int(toks[0]), state)
-        second = tiny_drafter.draft(Tensor(h_seq[1]), int(toks[1]), state)
-        assert not np.array_equal(first.d_logits.data, second.d_logits.data)
+        h_seq = rng.standard_normal((5, 16))
+        toks = np.array([3, 7, 0, 23, 7])
+        cases = [(name, "full") for name in VARIANT_NAMES] + [("amphista", 8)]
+        for variant, rank in cases:
+            config = variant_config(variant, DrafterConfig(sal_heads=2))
+            drafter = Drafter(replace(config, lm_head_rank=rank), tiny_model, np.random.default_rng(1))
+            state = drafter.new_state()
+            steps = [drafter.draft(h, int(t), state).d_logits.data for h, t in zip(h_seq, toks)]
+            assert not np.array_equal(steps[0], steps[1]), variant
+            with T.no_grad():
+                recomputed = drafter.sequence_logits(Tensor(h_seq), toks).data
+            assert np.abs(recomputed - np.stack(steps)).max() <= 1e-12, (variant, rank)
 
-        h1_seq, h2_seq = tiny_drafter.adapt_sequence(Tensor(h_seq), toks)
-        recomputed = tiny_drafter.head_logits_tensor(
-            tiny_drafter.auto_embed(
-                Tensor(h1_seq.data[1]), Tensor(h2_seq.data[1])
-            )
-        )
-        assert np.abs(recomputed.data - second.d_logits.data).max() <= 1e-12
+    def test_nan_weight_raises_before_output(self, tiny_model, tiny_drafter):
+        tiny_drafter.sal2.ffn.w1.weight.data[0, 0] = np.nan
+        with pytest.raises(NonFiniteError):
+            tiny_drafter.draft(rand_hidden(np.random.default_rng(19)), 1, tiny_drafter.new_state())
 
     def test_all_variants_constructible(self, tiny_model):
         base = DrafterConfig(sal_heads=2)

@@ -1,4 +1,7 @@
-"""Target model: cache consistency, tree-masked attention, sampling, cache surgery."""
+"""Target model: cache consistency, tree-masked attention, sampling, cache surgery.
+
+The cached ``forward`` runs tape-free; every parity check here compares it
+with the taped, cache-free ``forward_batch``."""
 
 import numpy as np
 import pytest
@@ -8,15 +11,23 @@ from hypothesis import strategies as st
 from amphista import tensor as T
 from amphista.model import ModelConfig, TargetModel, sample
 from amphista.speculation import TreeTopology, build_mask, preset_topology
-from amphista.tensor import DimensionError
+from amphista.tensor import DimensionError, NonFiniteError
 
 from conftest import TINY_MODEL, make_tiny_model
 
+PARITY = 1e-12  # tape-free cached forward vs the taped forward_batch
 
-def uncached_logits(model, tokens):
-    cache = model.new_cache()
+
+def uncached(model, tokens) -> tuple[np.ndarray, np.ndarray]:
+    """(hidden, logits) of the taped, cache-free forward over one sequence."""
     with T.no_grad():
-        return model.forward(tokens, cache).logits.data
+        out = model.forward_batch(np.asarray([tokens]))
+    return out.hidden.data[0], out.logits.data[0]
+
+
+def assert_parity(out, hidden, logits):
+    assert np.abs(out.hidden.data - hidden).max() <= PARITY
+    assert np.abs(out.logits.data - logits).max() <= PARITY
 
 
 class TestForward:
@@ -24,22 +35,21 @@ class TestForward:
         model = make_tiny_model()
         tokens = list(np.random.default_rng(0).integers(0, 24, size=11))
         cache = model.new_cache()
-        with T.no_grad():
-            model.forward(tokens[:10], cache)
-            step = model.forward(tokens[10:], cache)
-        full = uncached_logits(model, tokens)
-        assert np.abs(step.logits.data[-1] - full[-1]).max() <= 1e-5
+        model.forward(tokens[:10], cache)
+        step = model.forward(tokens[10:], cache)
+        hidden, logits = uncached(model, tokens)
+        assert_parity(step, hidden[-1:], logits[-1:])
 
     @given(st.integers(1, 11))
     def test_cache_consistency_any_split(self, split):
         model = make_tiny_model()
         tokens = list(np.random.default_rng(1).integers(0, 24, size=12))
         cache = model.new_cache()
-        with T.no_grad():
-            model.forward(tokens[:split], cache)
-            out = model.forward(tokens[split:], cache)
-        full = uncached_logits(model, tokens)
-        assert np.abs(out.logits.data - full[split:]).max() <= 1e-5
+        first = model.forward(tokens[:split], cache)
+        out = model.forward(tokens[split:], cache)
+        hidden, logits = uncached(model, tokens)
+        assert_parity(first, hidden[:split], logits[:split])
+        assert_parity(out, hidden[split:], logits[split:])
 
     def test_chain_mask_equals_sequential(self):
         model = make_tiny_model()
@@ -50,19 +60,47 @@ class TestForward:
         assert mask.sum() == np.tril(np.ones((5, 5))).sum()
 
         seq_cache = model.new_cache()
-        with T.no_grad():
-            model.forward(prompt, seq_cache)
-            seq_rows = [
-                model.forward([tok], seq_cache).logits.data[0] for tok in chain_tokens
-            ]
+        model.forward(prompt, seq_cache)
+        seq_rows = [model.forward([tok], seq_cache).logits.data[0] for tok in chain_tokens]
 
         tree_cache = model.new_cache()
-        with T.no_grad():
-            model.forward(prompt, tree_cache)
-            tout = model.forward(
-                chain_tokens, tree_cache, mask=mask, positions=3 + np.arange(5)
-            )
-        assert np.abs(np.stack(seq_rows) - tout.logits.data).max() <= 1e-5
+        model.forward(prompt, tree_cache)
+        tout = model.forward(chain_tokens, tree_cache, mask=mask, positions=3 + np.arange(5))
+        assert np.abs(np.stack(seq_rows) - tout.logits.data).max() <= PARITY
+        hidden, logits = uncached(model, prompt + chain_tokens)
+        assert_parity(tout, hidden[3:], logits[3:])
+
+    @pytest.mark.parametrize("preset", ["sparse22", "cart45"])
+    def test_tree_mask_matches_tape_forward(self, preset):
+        """Each tree node's hidden state and logits equal the taped forward
+        over the prompt followed by that node's root-to-node path."""
+        model = make_tiny_model()
+        rng = np.random.default_rng(2)
+        prompt = list(rng.integers(0, 24, size=6))
+        topo = preset_topology(preset)
+        tokens = rng.integers(0, 24, size=topo.node_count)
+        cache = model.new_cache()
+        model.forward(prompt, cache)
+        tout = model.forward(tokens, cache, mask=topo.mask, positions=6 + np.asarray(topo.depth))
+        for node in range(topo.node_count):
+            path = [node]
+            while topo.parent[path[-1]] >= 0:
+                path.append(topo.parent[path[-1]])
+            hidden, logits = uncached(model, prompt + [int(tokens[i]) for i in reversed(path)])
+            assert np.abs(tout.hidden.data[node] - hidden[-1]).max() <= PARITY
+            assert np.abs(tout.logits.data[node] - logits[-1]).max() <= PARITY
+
+    def test_nan_weight_raises_before_output(self):
+        model = make_tiny_model()
+        model.layers[1].ffn.w1.weight.data[3, 5] = np.nan
+        with pytest.raises(NonFiniteError):
+            model.forward([1, 2, 3], model.new_cache())
+
+    def test_token_out_of_range(self):
+        model = make_tiny_model()
+        for bad in ([1, TINY_MODEL.vocab_size], [-1, 2]):
+            with pytest.raises(IndexError):
+                model.forward(bad, model.new_cache())
 
     def test_empty_tokens_error(self):
         model = make_tiny_model()
@@ -86,8 +124,8 @@ class TestForward:
             model.forward([1, 2], cache, mask=mask, positions=[0, 1])
 
     def test_determinism_bit_identical(self):
-        a = uncached_logits(make_tiny_model(seed=5), [1, 2, 3, 4])
-        b = uncached_logits(make_tiny_model(seed=5), [1, 2, 3, 4])
+        a = uncached(make_tiny_model(seed=5), [1, 2, 3, 4])[1]
+        b = uncached(make_tiny_model(seed=5), [1, 2, 3, 4])[1]
         assert a.tobytes() == b.tobytes()
 
     def test_forward_batch_matches_single(self):
@@ -96,8 +134,8 @@ class TestForward:
         with T.no_grad():
             batch = model.forward_batch(tokens)
         for b in range(2):
-            single = uncached_logits(model, list(tokens[b]))
-            assert np.abs(batch.logits.data[b] - single).max() <= 1e-10
+            single = model.forward(list(tokens[b]), model.new_cache())
+            assert_parity(single, batch.hidden.data[b], batch.logits.data[b])
 
     def test_logits_are_lm_head_of_hidden(self):
         model = make_tiny_model()
@@ -143,11 +181,11 @@ class TestCacheSurgery:
     def test_truncate_to_zero_equals_fresh(self):
         model = make_tiny_model()
         cache = model.new_cache()
-        with T.no_grad():
-            model.forward([1, 2, 3, 4], cache)
-            cache.truncate(0)
-            again = model.forward([1, 2, 3], cache)
-        assert np.abs(again.logits.data - uncached_logits(model, [1, 2, 3])).max() == 0.0
+        model.forward([1, 2, 3, 4], cache)
+        cache.truncate(0)
+        again = model.forward([1, 2, 3], cache)
+        fresh = model.forward([1, 2, 3], model.new_cache())
+        assert np.array_equal(again.logits.data, fresh.logits.data)
 
     def test_truncate_noop_and_bounds(self):
         model = make_tiny_model()

@@ -409,8 +409,8 @@ class TestMaskForwardCoherence:
             accepted = [0]
             path_tokens = [int(tree.tokens[0])]
             while True:
-                probe = ref_cache.clone()
-                out = model.forward(path_tokens, probe)
+                ref_cache.truncate(len(prompt))
+                out = model.forward(path_tokens, ref_cache)
                 best = int(np.argmax(out.logits.data[-1]))
                 nxt = next((c for c in children[node] if tree.tokens[c] == best), None)
                 if nxt is None:
