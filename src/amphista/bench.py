@@ -31,9 +31,15 @@ from .engine import (
 from .model import ModelConfig, TargetModel
 from .speculation import (
     NODE_BUDGET_PRESETS,
+    TreeCandidate,
     TreeTopology,
+    commit,
+    expand_tree,
+    greedy_trees,
     preset_topology,
     resolve_topology,
+    search_topology,
+    verify,
 )
 from .training import TrainConfig, measure_head_accuracy, train, train_target
 
@@ -60,7 +66,7 @@ class LosslessnessError(RuntimeError):
 class RunConfig:
     mode: str = "amphista"
     temperature: float = 0.0
-    topology: str = "cart45"
+    topology: str = "searched"
     max_new_tokens: int = 64
     n_prompts: int = 8
     prompt_len: int = 12
@@ -157,8 +163,8 @@ def run_prompt(
         )
     rng = _prompt_rng(run.seed, prompt_index, 1)
     if run.mode == "oracle":
-        session = OracleDrafterSession(model, k=4)
         topology = resolve_topology(run.topology)
+        session = OracleDrafterSession(model, k=topology.depth_max)
         rule = "greedy" if run.temperature == 0 else "typical"
     elif run.mode == "vanilla_chain":
         if drafter is None:
@@ -316,6 +322,192 @@ def tree_attention_max_diff(
         diff = np.abs(out.logits.data[-1] - tout.logits.data[node]).max()
         worst = max(worst, float(diff))
     return worst
+
+
+# -- cost-aware tree search -----------------------------------------------------------
+
+# ``make_prompts`` stream of the calibration prompts: the corpus draws stream
+# 1 and evaluation prompts stream 2, so no calibration prompt is evaluated.
+CALIBRATION_STREAM = 5
+CALIBRATION_PROMPTS = 60
+# Node counts timed for the cost curve (the nearest candidate tree to each;
+# densest where the best trees of the toy checkpoint lie), the calibration
+# contexts they are timed on, and the timed rounds per tree and context.
+TIMED_SIZES = (5, 6, 8, 10, 12, 16, 24, 32, 48, 64)
+TIMED_CONTEXTS = 4
+TIMING_REPS = 20
+
+
+class RecordingSession:
+    """Passes a drafter session's drafts through and keeps each round's top-k lists."""
+
+    def __init__(self, session: DrafterSession):
+        self.session = session
+        self.topk: list[list[list[tuple[int, float]]]] = []
+
+    @property
+    def depth(self) -> int:
+        return self.session.depth
+
+    def draft(self, h_t: np.ndarray, last_token: int, model_cache):
+        out = self.session.draft(h_t, last_token, model_cache)
+        self.topk.append(out.topk)
+        return out
+
+
+def rank_vector(topk, following: list[int]) -> tuple[int, ...]:
+    """Per head, the rank of the greedy token in its top-k list, up to the
+    first head whose list misses it."""
+    ranks = []
+    for head, token in zip(topk, following):
+        tokens = [t for t, _ in head]
+        if token not in tokens:
+            break
+        ranks.append(tokens.index(token))
+    return tuple(ranks)
+
+
+@dataclass
+class Calibration:
+    rank_vectors: list[tuple[int, ...]]  # one per verification round
+    tokens_per_step: float  # measured with the calibration topology
+    contexts: list[list[int]]  # per prompt: prompt + half its greedy continuation
+
+
+def calibrate(
+    model: TargetModel, drafter: Drafter, run: RunConfig, prompts: list[list[int]]
+) -> Calibration:
+    """Decode ``prompts`` once, greedily with ``run``'s topology, and record
+    every round's rank vector against the AR greedy continuation."""
+    if run.mode not in VARIANT_NAMES or run.temperature != 0:
+        raise ValueError(
+            f"calibration decodes greedily with a drafter variant, not mode={run.mode!r} "
+            f"at temperature {run.temperature:g}"
+        )
+    topology = resolve_topology(run.topology)
+    k = drafter.config.K
+    rank_vectors: list[tuple[int, ...]] = []
+    contexts = []
+    emitted_total = 0
+    for i, prompt in enumerate(prompts):
+        reference = ar_generate(model, prompt, run.max_new_tokens + k).tokens
+        session = RecordingSession(DrafterSession(drafter))
+        res = speculative_generate(model, session, prompt, topology, run.max_new_tokens)
+        if res.tokens != reference[: run.max_new_tokens]:
+            raise LosslessnessError(f"calibration decode diverged from AR on prompt {i}")
+        if len(session.topk) != res.steps:
+            raise ValueError(f"calibration prompt {i} ran into the context window")
+        emitted = 1  # the prefill's token is the first round's root
+        for topk, event in zip(session.topk, res.events):
+            rank_vectors.append(rank_vector(topk, reference[emitted : emitted + k]))
+            emitted += event.accepted_len + 1
+        emitted_total += emitted - 1
+        contexts.append(prompt + reference[: run.max_new_tokens // 2])
+    return Calibration(rank_vectors, emitted_total / len(rank_vectors), contexts)
+
+
+@dataclass
+class StepCost:
+    """One round's wall time: the draft plus the tree round at ``nodes``,
+    interpolated linearly between the timed node counts."""
+
+    draft_s: float  # median of the timed drafts
+    tree_s: dict[int, float]  # node count -> median tree round (expand, forward, verify, commit)
+
+    def seconds(self, nodes: int) -> float:
+        return self.draft_s + float(np.interp(nodes, list(self.tree_s), list(self.tree_s.values())))
+
+
+def measure_step_cost(
+    model: TargetModel,
+    drafter: Drafter,
+    contexts: list[list[int]],
+    topologies: list[TreeTopology],
+) -> StepCost:
+    """Time real drafts and tree rounds of each topology on caches holding
+    ``contexts``; the sizes take turns, so a change of host speed meets every
+    size alike."""
+    draft_times: list[float] = []
+    tree_times: dict[int, list[float]] = {t.node_count: [] for t in topologies}
+    for context in contexts:
+        cache = model.new_cache()
+        h = model.forward(context[:-1], cache).hidden.data[-1]
+        root = context[-1]
+        session = DrafterSession(drafter)
+        base, drafted = cache.length, session.state.length
+        for _ in range(TIMING_REPS):
+            for topology in topologies:
+                t0 = time.perf_counter()
+                draft = session.draft(h, root, cache)
+                t1 = time.perf_counter()
+                tree = expand_tree(draft, topology, root)
+                tout = model.forward(
+                    tree.tokens, cache, mask=tree.mask, positions=base + tree.positions
+                )
+                commit(verify(tree, tout.logits, "greedy", 0.0), tree, cache, None)
+                t2 = time.perf_counter()
+                cache.truncate(base)
+                session.state.rollback(drafted)
+                draft_times.append(t1 - t0)
+                tree_times[topology.node_count].append(t2 - t1)
+    tree_s = {n: statistics.median(ts) for n, ts in sorted(tree_times.items())}
+    return StepCost(statistics.median(draft_times), tree_s)
+
+
+@dataclass
+class TreeSearchResult:
+    calibration: Calibration
+    cost: StepCost
+    chosen: TreeCandidate
+    candidates: list[TreeCandidate]  # the greedy tree at each node count
+
+
+def tree_search(
+    model: TargetModel,
+    drafter: Drafter,
+    run: RunConfig,
+    prompts: list[list[int]],
+) -> TreeSearchResult:
+    """Calibrate on ``prompts``, time a few candidate sizes, and pick the tree
+    of greatest expected tokens per second."""
+    calibration = calibrate(model, drafter, run, prompts)
+    candidates = greedy_trees(calibration.rank_vectors, drafter.config.K)
+    sizes = [c.topology.node_count for c in candidates]
+    timed = {min(sizes, key=lambda n: (abs(n - size), n)) for size in TIMED_SIZES}
+    topologies = [c.topology for c in candidates if c.topology.node_count in timed]
+    cost = measure_step_cost(model, drafter, calibration.contexts[:TIMED_CONTEXTS], topologies)
+    chosen, candidates = search_topology(calibration.rank_vectors, drafter.config.K, cost.seconds)
+    return TreeSearchResult(calibration, cost, chosen, candidates)
+
+
+def write_tree_search_csv(path: str | Path, candidates: list[TreeCandidate]) -> None:
+    """Deterministic: the greedy tree and its predicted tokens/step per node count."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["nodes", "tokens_per_step", "paths"])
+        for c in candidates:
+            paths = " ".join(",".join(str(x) for x in p) for p in c.topology.paths)
+            w.writerow([c.topology.node_count, f"{c.tokens_per_step:.6f}", paths])
+
+
+def write_tree_search_timing_csv(path: str | Path, result: TreeSearchResult) -> None:
+    cost = result.cost
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["nodes", "draft_ms", "tree_ms_measured", "step_ms", "tokens_per_s", "chosen"])
+        for c in result.candidates:
+            n = c.topology.node_count
+            measured = f"{1e3 * cost.tree_s[n]:.4f}" if n in cost.tree_s else ""
+            w.writerow(
+                [
+                    n,
+                    f"{1e3 * cost.draft_s:.4f}",
+                    measured,
+                    f"{1e3 * cost.seconds(n):.4f}",
+                    f"{c.tokens_per_step / cost.seconds(n):.1f}",
+                    str(c is result.chosen).lower(),
+                ]
+            )
 
 
 # -- ablation matrix -------------------------------------------------------------------

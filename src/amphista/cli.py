@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Subcommands: train, generate, bench, ablate, node-sweep, head-acc, selfcheck.
-All outputs except the ``*_timing.csv`` sidecars are byte-determined by
-(config, seed); the process exits nonzero when a hard invariant (greedy
-losslessness, determinism) is violated.
+Subcommands: train, generate, bench, tree-search, ablate, node-sweep, head-acc,
+selfcheck.
+All outputs except the ``*_timing.csv`` sidecars and the tree that
+tree-search picks by measured cost are byte-determined by (config, seed); the
+process exits nonzero when a hard invariant (greedy losslessness,
+determinism) is violated.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-
-
 from .bench import (
+    CALIBRATION_PROMPTS,
+    CALIBRATION_STREAM,
     AblationConfig,
     LosslessnessError,
     RunConfig,
@@ -28,6 +30,7 @@ from .bench import (
     selfcheck,
     timed_tokens_per_sec,
     train_system,
+    tree_search,
     write_ablation_csv,
     write_ablation_timing_csv,
     write_event_log,
@@ -36,12 +39,15 @@ from .bench import (
     write_node_sweep_csv,
     write_node_sweep_timing_csv,
     write_timing_csv,
+    write_tree_search_csv,
+    write_tree_search_timing_csv,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .configfile import coerce_dataclass, dump_config, load_config
 from .corpus import CorpusSpec, detokenize, make_corpus, make_prompts, tokenize
 from .drafter import DrafterConfig, variant_config
 from .model import ModelConfig
+from .speculation import format_topology
 from .training import TrainConfig
 
 
@@ -195,6 +201,37 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def cmd_tree_search(args) -> int:
+    _, model_cfg, drafter_cfg, _, corpus_spec, run_cfg = _build_configs(args)
+    out = _outdir(args)
+    model, drafter = _build_system(args, model_cfg, drafter_cfg, run_cfg)
+    prompts = make_prompts(
+        corpus_spec, run_cfg.seed, CALIBRATION_PROMPTS, run_cfg.prompt_len, CALIBRATION_STREAM
+    )
+    try:
+        result = tree_search(model, drafter, run_cfg, prompts)
+    except LosslessnessError as err:
+        print(f"LOSSLESSNESS VIOLATION: {err}", file=sys.stderr)
+        return 1
+    (out / "topology.txt").write_text(format_topology(result.chosen.topology))
+    write_tree_search_csv(out / "tree_search.csv", result.candidates)
+    write_tree_search_timing_csv(out / "tree_search_timing.csv", result)
+    cost, chosen = result.cost, result.chosen
+    n = chosen.topology.node_count
+    print(
+        f"calibration: {len(result.calibration.rank_vectors)} rounds with {run_cfg.topology}, "
+        f"{result.calibration.tokens_per_step:.3f} tokens/step"
+    )
+    timed = ", ".join(f"{size}: {1e3 * t:.3f}" for size, t in cost.tree_s.items())
+    print(f"cost: draft {1e3 * cost.draft_s:.3f} ms; tree round ms by nodes {timed}")
+    print(
+        f"chosen: {n} nodes, {chosen.tokens_per_step:.3f} tokens/step predicted, "
+        f"{chosen.tokens_per_step / cost.seconds(n):.0f} tokens/s predicted"
+    )
+    print(f"wrote {out / 'topology.txt'} and {out / 'tree_search.csv'} (+ timing sidecar)")
+    return 0
+
+
 def cmd_ablate(args) -> int:
     raw, model_cfg, drafter_cfg, train_cfg, corpus_spec, run_cfg = _build_configs(args)
     out = _outdir(args)
@@ -301,6 +338,12 @@ def main(argv=None) -> int:
     p.add_argument("--ckpt", help="checkpoint from `train`")
     p.add_argument("--max-new-tokens", type=int, dest="max_new_tokens")
     p.set_defaults(fn=cmd_bench)
+
+    p = sub.add_parser("tree-search", help="build the draft tree of most tokens per second")
+    _add_shared_flags(p)
+    p.add_argument("--ckpt", help="checkpoint from `train`")
+    p.add_argument("--max-new-tokens", type=int, dest="max_new_tokens")
+    p.set_defaults(fn=cmd_tree_search)
 
     p = sub.add_parser("ablate", help="train and compare the ablation variants")
     _add_shared_flags(p)

@@ -106,15 +106,21 @@ def make_corpus(spec: CorpusSpec, seed: int, name: str = "train") -> Corpus:
     return Corpus(name=name, sequences=sequences, spec=spec)
 
 
-def make_prompts(spec: CorpusSpec, seed: int, n_prompts: int, prompt_len: int) -> list[list[int]]:
-    """Fresh evaluation prompts from the same generator family as the corpus."""
+def make_prompts(
+    spec: CorpusSpec, seed: int, n_prompts: int, prompt_len: int, stream: int = 2
+) -> list[list[int]]:
+    """Fresh evaluation prompts from the same generator family as the corpus.
+
+    ``stream`` picks an independent draw from the same chain: the corpus
+    uses stream 1, evaluation prompts stream 2.
+    """
     if spec.kind == "text":
         corpus = load_text_corpus(spec.text_path, prompt_len, name="prompts")
         if len(corpus.sequences) < n_prompts:
             raise ValueError("text corpus too small for the requested prompt count")
         return corpus.sequences[:n_prompts]
     gen = MarkovGenerator(spec, seed)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, stream]))
     return [gen.sequence(rng, prompt_len) for _ in range(n_prompts)]
 
 

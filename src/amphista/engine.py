@@ -102,6 +102,22 @@ class OracleDrafterSession:
         return DraftOutput(d_logits=Tensor(d_logits), topk=topk_lists(d_logits, self.top_k))
 
 
+def _check_budget(model: TargetModel, prompt: list[int], max_new_tokens: int) -> None:
+    """Reject a request before prefill unless every token it needs fits.
+
+    A decode of ``max_new_tokens`` feeds all but the last new token back to
+    the target, so prompt + budget - 1 tokens must fit in the window.
+    """
+    if not prompt:
+        raise EngineError("prompt must be non-empty")
+    window = model.config.max_seq_len
+    if len(prompt) + max_new_tokens - 1 > window:
+        raise EngineError(
+            f"prompt of {len(prompt)} tokens + budget of {max_new_tokens} new tokens "
+            f"exceeds the context window of {window} tokens"
+        )
+
+
 def ar_generate(
     model: TargetModel,
     prompt: list[int],
@@ -110,8 +126,7 @@ def ar_generate(
     rng: np.random.Generator | None = None,
 ) -> GenerationResult:
     """Token-at-a-time baseline; tokens_per_step is 1 by construction."""
-    if not prompt:
-        raise EngineError("prompt must be non-empty")
+    _check_budget(model, prompt, max_new_tokens)
     start = time.perf_counter()
     cache = model.new_cache()
     out = model.forward(prompt, cache)
@@ -146,11 +161,16 @@ def speculative_generate(
     epsilon: float = 0.09,
     delta: float = 0.3,
 ) -> GenerationResult:
-    """Speculate-verify decoding; greedy rule emits exactly the AR sequence."""
-    if not prompt:
-        raise EngineError("prompt must be non-empty")
+    """Speculate-verify decoding; greedy rule emits exactly the AR sequence.
+
+    Rounds whose tree would not fit in the context window become 1-token
+    target steps, so a request that passes the up-front budget check always
+    finishes.
+    """
+    _check_budget(model, prompt, max_new_tokens)
     if rule != "chain" and topology is None:
         raise EngineError("tree verification requires a topology")
+    tree_nodes = session.depth + 1 if rule == "chain" else topology.node_count
     start = time.perf_counter()
     cache = model.new_cache()
     events: list[StepEvent] = []
@@ -161,16 +181,19 @@ def speculative_generate(
     step = 0
     while len(new) < max_new_tokens:
         step += 1
+        base = cache.length
+        if base + tree_nodes > model.config.max_seq_len:
+            # The window only fills up, so no later round drafts again.
+            out = model.forward([tok], cache)
+            tok = sample(out.logits.data[-1], temperature, rng)
+            new.append(tok)
+            events.append(StepEvent(step=step, nodes=1, accepted_len=0, bonus=tok))
+            continue
         draft = session.draft(h, tok, cache)
         if rule == "chain":
             tree = sample_chain_tree(draft, session.depth, tok, rng)
         else:
             tree = expand_tree(draft, topology, tok)
-        base = cache.length
-        if base + tree.node_count > model.config.max_seq_len:
-            raise EngineError(
-                "context window exhausted; lower max_new_tokens or the tree size"
-            )
         tout = model.forward(
             tree.tokens, cache, mask=tree.mask, positions=base + tree.positions
         )

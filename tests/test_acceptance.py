@@ -53,7 +53,7 @@ def trained_system():
 
 
 def test_criterion_01_greedy_losslessness():
-    """>= 20 prompts x 200 tokens, 3 seeds x 3 topologies, exact match to AR."""
+    """>= 20 prompts x 200 tokens, 3 seeds x 4 topologies, exact match to AR."""
     spec = CorpusSpec()
     checked = 0
     for seed in (0, 1, 2):
@@ -63,7 +63,7 @@ def test_criterion_01_greedy_losslessness():
         prompts = make_prompts(spec, seed, 20, 12)
         run_ar = RunConfig(mode="ar", max_new_tokens=200, seed=seed)
         _, ar_results = run_prompt_set(model, None, run_ar, prompts)
-        for topology in ("chain", "cart45", "sparse22"):
+        for topology in ("chain", "cart45", "sparse22", "searched"):
             run = RunConfig(mode="amphista", topology=topology, max_new_tokens=200, seed=seed)
             report, results = run_prompt_set(
                 model, drafter, run, prompts, ar_refs=ar_results
@@ -74,7 +74,7 @@ def test_criterion_01_greedy_losslessness():
             checked += len(prompts)
     assert _report(
         1, True, f"greedy speculative output identical to AR on {checked} runs "
-        "(3 seeds x 3 topologies x 20 prompts x 200 tokens)"
+        "(3 seeds x 4 topologies x 20 prompts x 200 tokens)"
     )
 
 

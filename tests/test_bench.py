@@ -7,6 +7,7 @@ from amphista import tensor as T
 from amphista.bench import (
     AblationConfig,
     RunConfig,
+    calibrate,
     recompute_tokens_per_step,
     run_ablation_suite,
     run_prompt_set,
@@ -24,9 +25,15 @@ from amphista.corpus import (
     tokenize,
 )
 from amphista.drafter import DrafterConfig
-from amphista.engine import DrafterSession, OracleDrafterSession, ar_generate, speculative_generate
+from amphista.engine import (
+    DrafterSession,
+    EngineError,
+    OracleDrafterSession,
+    ar_generate,
+    speculative_generate,
+)
 from amphista.model import ModelConfig, sample
-from amphista.speculation import preset_topology
+from amphista.speculation import expected_tokens_per_step, preset_topology
 from amphista.training import TrainConfig, measure_head_accuracy
 from conftest import make_tiny_drafter, make_tiny_model
 
@@ -106,7 +113,7 @@ class TestDecodingLoops:
 
         # reference: no tree forwards, no masks; sequential decoding only
         ref_session = DrafterSession(drafter)
-        children = topo.children()
+        children = topo.children
         cache = model.new_cache()
         with T.no_grad():
             out = model.forward(prompt, cache)
@@ -139,6 +146,56 @@ class TestDecodingLoops:
         assert res.tokens == new[:max_new]
         assert [e.accepted_len + 1 for e in res.events] == per_round
         assert res.tokens_per_step == sum(per_round) / len(per_round)
+
+    def test_oracle_mode_takes_its_depth_from_the_topology(self, tmp_path):
+        model = make_tiny_model(seed=2)
+        path = tmp_path / "depth3.txt"
+        path.write_text("0\n0,0\n0,1\n0,0,0\n")
+        run = RunConfig(mode="oracle", topology=str(path), max_new_tokens=25)
+        report, results = run_prompt_set(model, None, run, [[1, 2, 3], [4, 5]])
+        assert report.lossless is True
+        assert report.tokens_per_step == 4.0
+
+    def test_tree_rounds_near_the_window_become_single_steps(self):
+        """A prompt that ends within one tree of the window still decodes to
+        exactly AR's tokens; the rounds that no longer fit step one token."""
+        model = make_tiny_model(seed=3)
+        drafter = make_tiny_drafter(model, seed=4)
+        window = model.config.max_seq_len
+        prompt = [int(t) for t in np.random.default_rng(5).integers(0, 24, size=window - 60)]
+        max_new = window - len(prompt) + 1
+        topo = preset_topology("cart45")
+        res = speculative_generate(model, DrafterSession(drafter), prompt, topo, max_new)
+        assert res.tokens == ar_generate(model, prompt, max_new).tokens
+        assert {e.nodes for e in res.events} == {1, topo.node_count}
+        run = RunConfig(mode="vanilla_chain", temperature=0.7, max_new_tokens=max_new)
+        _, sampled = run_prompt_set(model, drafter, run, [prompt])
+        assert len(sampled[0].tokens) == max_new
+
+    def test_budget_past_the_window_rejected_before_prefill(self):
+        model = make_tiny_model()
+        window = model.config.max_seq_len
+        prompt = [1] * (window - 9)
+        ar_generate(model, prompt, 10)  # the last token is never fed back
+        with pytest.raises(EngineError, match=f"{window - 9} tokens .* 11 new .* {window}"):
+            ar_generate(model, prompt, 11)
+        with pytest.raises(EngineError, match="context window"):
+            speculative_generate(
+                model, DrafterSession(make_tiny_drafter(model)), prompt, preset_topology("chain"), 11
+            )
+
+    def test_calibration_predicts_its_own_topology_exactly(self):
+        model = make_tiny_model(seed=6)
+        drafter = make_tiny_drafter(model, seed=7)
+        run = RunConfig(mode="amphista", topology="sparse22", max_new_tokens=30)
+        prompts = [[1, 2, 3], [4, 5, 6, 7], [8, 9]]
+        cal = calibrate(model, drafter, run, prompts)
+        report, _ = run_prompt_set(model, drafter, run, prompts)
+        assert cal.tokens_per_step == report.tokens_per_step
+        paths = preset_topology("sparse22").paths
+        assert expected_tokens_per_step(paths, cal.rank_vectors) == pytest.approx(
+            cal.tokens_per_step, abs=1e-12
+        )
 
     def test_empty_prompt_rejected(self):
         model = make_tiny_model()

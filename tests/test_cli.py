@@ -1,8 +1,12 @@
 """CLI front end: exit codes, artifacts on disk, error paths."""
 
+import argparse
+
 import pytest
 
-from amphista.cli import main
+from amphista.cli import _build_configs, _build_system, main
+from amphista.engine import DrafterSession, ar_generate, speculative_generate
+from amphista.speculation import load_topology
 
 TINY = """
 vocab_size=256
@@ -71,6 +75,26 @@ class TestCommands:
         assert rc == 0
         lines = (tmp_path / "node_sweep.csv").read_text().splitlines()
         assert len(lines) == 3
+
+    def test_tree_search_writes_a_lossless_topology(self, tiny_cfg, trained_dir, tmp_path):
+        ckpt = str(trained_dir / "checkpoint.bin")
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            argv = ["tree-search", "--config", tiny_cfg, "--seed", "1", "--out", str(out)]
+            assert main([*argv, "--ckpt", ckpt]) == 0
+        assert (outs[0] / "tree_search.csv").read_bytes() == (outs[1] / "tree_search.csv").read_bytes()
+        assert (outs[0] / "tree_search_timing.csv").exists()
+        topology = load_topology(outs[0] / "topology.txt")
+        assert topology.depth_max == 4 and topology.node_count <= 64
+
+        args = argparse.Namespace(
+            config=tiny_cfg, seed=1, mode=None, temperature=None, topology=None, ckpt=ckpt
+        )
+        _, model_cfg, drafter_cfg, _, _, run_cfg = _build_configs(args)
+        model, drafter = _build_system(args, model_cfg, drafter_cfg, run_cfg)
+        for prompt in ([70, 71, 72, 73], [80, 75, 70]):
+            res = speculative_generate(model, DrafterSession(drafter), prompt, topology, 20)
+            assert res.tokens == ar_generate(model, prompt, 20).tokens
 
     def test_selfcheck_passes(self):
         assert main(["selfcheck", "--seed", "0"]) == 0

@@ -70,7 +70,7 @@ class TestForward:
         hidden, logits = uncached(model, prompt + chain_tokens)
         assert_parity(tout, hidden[3:], logits[3:])
 
-    @pytest.mark.parametrize("preset", ["sparse22", "cart45"])
+    @pytest.mark.parametrize("preset", ["sparse22", "cart45", "searched"])
     def test_tree_mask_matches_tape_forward(self, preset):
         """Each tree node's hidden state and logits equal the taped forward
         over the prompt followed by that node's root-to-node path."""
@@ -250,7 +250,7 @@ class TestCacheSurgery:
                 tokens, cache, mask=build_mask(topo), positions=4 + np.asarray(topo.depth)
             )
         # accept the path root -> first child -> its first child
-        children = topo.children()
+        children = topo.children
         path = [0, children[0][0], children[children[0][0]][0]]
         cache.select_path(4, path)
         with T.no_grad():

@@ -16,13 +16,17 @@ from amphista.speculation import (
     VerifyResult,
     build_mask,
     chain_accept_step,
+    PRESET_PATHS,
     commit,
     expand_tree,
+    expected_tokens_per_step,
     format_topology,
+    greedy_trees,
     load_topology,
     parse_topology,
     preset_topology,
     sample_chain_tree,
+    search_topology,
     verify,
 )
 from amphista.tensor import Tensor
@@ -64,7 +68,7 @@ class TestTopology:
         paths = [(0,), (1,)] + [(i, j) for i in range(2) for j in range(3)]
         topo = TreeTopology.from_paths(paths)
         assert topo.node_count == 9
-        leaves = [i for i, c in enumerate(topo.children()) if not c and i > 0]
+        leaves = [i for i, c in enumerate(topo.children) if not c and i > 0]
         assert len(leaves) == 6
         mask = build_mask(topo)
         for leaf in leaves:
@@ -404,7 +408,7 @@ class TestMaskForwardCoherence:
         ref_cache = model.new_cache()
         with T.no_grad():
             model.forward(prompt, ref_cache)
-            children = topo.children()
+            children = topo.children
             node = 0
             accepted = [0]
             path_tokens = [int(tree.tokens[0])]
@@ -421,3 +425,75 @@ class TestMaskForwardCoherence:
                 node = nxt
         assert res.accepted_nodes == accepted
         assert res.bonus_token == bonus
+
+
+def random_rank_vectors(seed: int, n: int = 3000, depth: int = 4) -> list[tuple[int, ...]]:
+    """Rank vectors shaped like a trained drafter's: usually deep, mostly rank 0."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        ranks = []
+        while len(ranks) < depth and rng.random() < 0.8:
+            ranks.append(min(int(rng.geometric(0.55)) - 1, 9))
+        out.append(tuple(ranks))
+    return out
+
+
+def longest_matched_prefix(paths, ranks) -> int:
+    paths = set(paths)
+    d = 0
+    while d < len(ranks) and tuple(ranks[: d + 1]) in paths:
+        d += 1
+    return d
+
+
+class TestTreeSearch:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_prediction_is_one_plus_mean_matched_prefix(self, seed):
+        rank_vectors = random_rank_vectors(seed, n=400)
+        for cand in greedy_trees(rank_vectors, 4):
+            mean = np.mean([longest_matched_prefix(cand.topology.paths, r) for r in rank_vectors])
+            assert cand.tokens_per_step == pytest.approx(1.0 + mean, abs=1e-12)
+
+    def test_hand_made_rank_vectors(self):
+        rank_vectors = [(0, 0, 0, 0), (0, 1), (1,), (), (0, 0, 2)]
+        chosen, candidates = search_topology(rank_vectors, 4, lambda n: 1.0 + 0.1 * n)
+        # chain: 1 + (4 + 1 + 0 + 0 + 2) / 5
+        assert candidates[0].topology.paths == ((0,), (0, 0), (0, 0, 0), (0, 0, 0, 0))
+        assert candidates[0].tokens_per_step == pytest.approx(1 + 7 / 5)
+        # every observed path: 1 + mean vector length
+        assert candidates[-1].tokens_per_step == pytest.approx(1 + 10 / 5)
+        assert chosen in candidates
+
+    def test_trees_are_prefix_closed_with_depth_k(self):
+        for depth, rank_vectors in ((4, random_rank_vectors(2)), (3, [(1, 2), (0,), ()])):
+            candidates = greedy_trees(rank_vectors, depth)
+            counts = [c.topology.node_count for c in candidates]
+            assert counts == sorted(set(counts)) and counts[-1] <= 64
+            for cand in candidates:
+                paths = set(cand.topology.paths)
+                assert all(p[:-1] in paths for p in paths if len(p) > 1)
+                assert cand.topology.depth_max == depth
+
+    def test_no_preset_beats_the_search_at_its_node_count(self):
+        rank_vectors = random_rank_vectors(3)
+        by_nodes = {c.topology.node_count: c for c in greedy_trees(rank_vectors, 4)}
+        for name, paths in PRESET_PATHS.items():
+            n = preset_topology(name).node_count
+            assert expected_tokens_per_step(paths, rank_vectors) <= (
+                by_nodes[n].tokens_per_step + 1e-12
+            ), name
+
+    def test_search_maximises_tokens_per_second(self):
+        rank_vectors = random_rank_vectors(4)
+        cost = lambda n: 2.0 + 0.07 * n  # noqa: E731
+        chosen, candidates = search_topology(rank_vectors, 4, cost)
+        rates = [c.tokens_per_step / cost(c.topology.node_count) for c in candidates]
+        assert chosen is candidates[int(np.argmax(rates))]
+        # free nodes: the largest tree wins; costly nodes: the chain
+        assert search_topology(rank_vectors, 4, lambda n: 1.0)[0] == candidates[-1]
+        assert search_topology(rank_vectors, 4, lambda n: n)[0].topology.node_count == 5
+
+    def test_rejects_rank_vectors_deeper_than_the_tree(self):
+        with pytest.raises(ValueError, match="depth"):
+            greedy_trees([(0, 0, 0)], 2)
