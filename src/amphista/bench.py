@@ -476,7 +476,7 @@ def tree_search(
     timed = {min(sizes, key=lambda n: (abs(n - size), n)) for size in TIMED_SIZES}
     topologies = [c.topology for c in candidates if c.topology.node_count in timed]
     cost = measure_step_cost(model, drafter, calibration.contexts[:TIMED_CONTEXTS], topologies)
-    chosen, candidates = search_topology(calibration.rank_vectors, drafter.config.K, cost.seconds)
+    chosen = search_topology(candidates, cost.seconds)
     return TreeSearchResult(calibration, cost, chosen, candidates)
 
 

@@ -342,7 +342,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("tree-search", help="build the draft tree of most tokens per second")
     _add_shared_flags(p)
     p.add_argument("--ckpt", help="checkpoint from `train`")
-    p.add_argument("--max-new-tokens", type=int, dest="max_new_tokens")
     p.set_defaults(fn=cmd_tree_search)
 
     p = sub.add_parser("ablate", help="train and compare the ablation variants")

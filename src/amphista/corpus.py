@@ -112,9 +112,15 @@ def make_prompts(
     """Fresh evaluation prompts from the same generator family as the corpus.
 
     ``stream`` picks an independent draw from the same chain: the corpus
-    uses stream 1, evaluation prompts stream 2.
+    uses stream 1, evaluation prompts stream 2. A text corpus has one fixed
+    set of prompts, its first chunks, so it offers stream 2 only.
     """
     if spec.kind == "text":
+        if stream != 2:
+            raise ValueError(
+                f"a text corpus has no prompt stream {stream}: its prompts are its first "
+                "chunks, which the evaluation prompts already are"
+            )
         corpus = load_text_corpus(spec.text_path, prompt_len, name="prompts")
         if len(corpus.sequences) < n_prompts:
             raise ValueError("text corpus too small for the requested prompt count")

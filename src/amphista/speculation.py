@@ -218,15 +218,6 @@ def path_counts(rank_vectors) -> Counter:
     return counts
 
 
-def expected_tokens_per_step(paths, rank_vectors) -> float:
-    """1 + sum over the tree's paths of P(path): the mean tokens a greedy round
-    of this tree emits on the rounds the rank vectors came from."""
-    if not rank_vectors:
-        raise ValueError("need at least one rank vector")
-    counts = path_counts(rank_vectors)
-    return 1.0 + sum(counts[tuple(p)] for p in paths) / len(rank_vectors)
-
-
 @dataclass(frozen=True)
 class TreeCandidate:
     """A greedy tree and the tokens/step the calibration rounds predict for it."""
@@ -271,19 +262,14 @@ def greedy_trees(rank_vectors, depth: int, max_nodes: int = 64) -> list[TreeCand
 
 
 def search_topology(
-    rank_vectors, depth: int, step_seconds: Callable[[int], float], max_nodes: int = 64
-) -> tuple[TreeCandidate, list[TreeCandidate]]:
-    """Pick the greedy tree that maximises expected tokens per second.
+    candidates: list[TreeCandidate], step_seconds: Callable[[int], float]
+) -> TreeCandidate:
+    """The candidate of greatest expected tokens per second.
 
     ``step_seconds(n)`` is the cost of one round with an n-node tree (draft
-    plus tree forward). Returns the chosen candidate and every candidate, by
-    node count; ties go to the smaller tree.
+    plus tree round). Ties go to the earlier, smaller tree.
     """
-    candidates = greedy_trees(rank_vectors, depth, max_nodes)
-    chosen = max(
-        candidates, key=lambda c: c.tokens_per_step / step_seconds(c.topology.node_count)
-    )
-    return chosen, candidates
+    return max(candidates, key=lambda c: c.tokens_per_step / step_seconds(c.topology.node_count))
 
 
 @dataclass

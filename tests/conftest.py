@@ -24,6 +24,20 @@ def make_tiny_drafter(model: TargetModel, seed: int = 1, **cfg_kwargs) -> Drafte
     return Drafter(config, model, np.random.default_rng(seed))
 
 
+def longest_matched_prefix(paths, ranks) -> int:
+    """How many tokens a greedy round of the tree accepts on a rank vector."""
+    paths = set(paths)
+    d = 0
+    while d < len(ranks) and tuple(ranks[: d + 1]) in paths:
+        d += 1
+    return d
+
+
+def predicted_tokens_per_step(paths, rank_vectors) -> float:
+    """1 + the mean longest matched prefix: the tokens/step calibration predicts."""
+    return 1.0 + float(np.mean([longest_matched_prefix(paths, r) for r in rank_vectors]))
+
+
 @pytest.fixture
 def tiny_model():
     return make_tiny_model()

@@ -313,7 +313,7 @@ def test_supplementary_event_log_recount(trained_system, tmp_path):
     """Harness tokens/step equals the recount from the raw event log."""
     model, drafter, _, _ = trained_system
     prompts = make_prompts(CorpusSpec(), 88, 5, 10)
-    run = RunConfig(mode="amphista", max_new_tokens=40, seed=11)
+    run = RunConfig(mode="amphista", topology="cart45", max_new_tokens=40, seed=11)
     report, results = run_prompt_set(model, drafter, run, prompts)
     log = tmp_path / "events.log"
     write_event_log(log, run, results)

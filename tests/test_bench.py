@@ -5,6 +5,8 @@ import pytest
 
 from amphista import tensor as T
 from amphista.bench import (
+    CALIBRATION_PROMPTS,
+    CALIBRATION_STREAM,
     AblationConfig,
     RunConfig,
     calibrate,
@@ -33,9 +35,9 @@ from amphista.engine import (
     speculative_generate,
 )
 from amphista.model import ModelConfig, sample
-from amphista.speculation import expected_tokens_per_step, preset_topology
+from amphista.speculation import preset_topology
 from amphista.training import TrainConfig, measure_head_accuracy
-from conftest import make_tiny_drafter, make_tiny_model
+from conftest import make_tiny_drafter, make_tiny_model, predicted_tokens_per_step
 
 
 class TestTokenizer:
@@ -77,6 +79,18 @@ class TestCorpus:
         corpus = make_corpus(spec, seed=0)
         assert all(len(s) == 16 for s in corpus.sequences)
         assert len(corpus.sequences) == 5
+
+    def test_calibration_prompts_are_held_out(self, tmp_path):
+        spec = CorpusSpec()
+        evaluation = make_prompts(spec, 0, 100, 12)
+        calibration = make_prompts(spec, 0, CALIBRATION_PROMPTS, 12, CALIBRATION_STREAM)
+        assert not {tuple(p) for p in calibration} & {tuple(p) for p in evaluation}
+        p = tmp_path / "c.txt"
+        p.write_bytes(b"abcdefgh" * 10)
+        text = CorpusSpec(kind="text", text_path=str(p), seq_len=16)
+        assert len(make_prompts(text, 0, 2, 8)) == 2
+        with pytest.raises(ValueError, match="stream"):
+            make_prompts(text, 0, 2, 8, CALIBRATION_STREAM)
 
 
 class TestDecodingLoops:
@@ -193,7 +207,7 @@ class TestDecodingLoops:
         report, _ = run_prompt_set(model, drafter, run, prompts)
         assert cal.tokens_per_step == report.tokens_per_step
         paths = preset_topology("sparse22").paths
-        assert expected_tokens_per_step(paths, cal.rank_vectors) == pytest.approx(
+        assert predicted_tokens_per_step(paths, cal.rank_vectors) == pytest.approx(
             cal.tokens_per_step, abs=1e-12
         )
 
@@ -215,7 +229,9 @@ class TestDecodingLoops:
     def test_typical_rule_runs_and_terminates(self):
         model = make_tiny_model(seed=7)
         drafter = make_tiny_drafter(model, seed=8)
-        run = RunConfig(mode="amphista", temperature=0.7, max_new_tokens=20, n_prompts=2, seed=1)
+        run = RunConfig(
+            mode="amphista", topology="cart45", temperature=0.7, max_new_tokens=20, n_prompts=2, seed=1
+        )
         report, results = run_prompt_set(model, drafter, run, [[1, 2, 3], [2, 3, 4]])
         assert all(len(r.tokens) == 20 for r in results)
         assert report.lossless is None
@@ -231,7 +247,9 @@ class TestDecodingLoops:
     def test_rerun_is_deterministic_even_with_sampling(self):
         model = make_tiny_model(seed=11)
         drafter = make_tiny_drafter(model, seed=12)
-        run = RunConfig(mode="amphista", temperature=0.7, max_new_tokens=15, n_prompts=2, seed=3)
+        run = RunConfig(
+            mode="amphista", topology="cart45", temperature=0.7, max_new_tokens=15, n_prompts=2, seed=3
+        )
         _, a = run_prompt_set(model, drafter, run, [[1, 1, 2], [9, 9, 9]])
         _, b = run_prompt_set(model, drafter, run, [[1, 1, 2], [9, 9, 9]])
         assert [r.tokens for r in a] == [r.tokens for r in b]
@@ -241,7 +259,7 @@ class TestEventLog:
     def test_recompute_matches_report(self, tmp_path):
         model = make_tiny_model(seed=13)
         drafter = make_tiny_drafter(model, seed=14)
-        run = RunConfig(mode="amphista", max_new_tokens=20, n_prompts=3)
+        run = RunConfig(mode="amphista", topology="cart45", max_new_tokens=20, n_prompts=3)
         report, results = run_prompt_set(
             model, drafter, run, [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
         )

@@ -19,7 +19,6 @@ from amphista.speculation import (
     PRESET_PATHS,
     commit,
     expand_tree,
-    expected_tokens_per_step,
     format_topology,
     greedy_trees,
     load_topology,
@@ -31,7 +30,7 @@ from amphista.speculation import (
 )
 from amphista.tensor import Tensor
 
-from conftest import make_tiny_model
+from conftest import make_tiny_model, predicted_tokens_per_step
 
 
 def fake_draft_output(topk, vocab=24):
@@ -439,31 +438,24 @@ def random_rank_vectors(seed: int, n: int = 3000, depth: int = 4) -> list[tuple[
     return out
 
 
-def longest_matched_prefix(paths, ranks) -> int:
-    paths = set(paths)
-    d = 0
-    while d < len(ranks) and tuple(ranks[: d + 1]) in paths:
-        d += 1
-    return d
-
-
 class TestTreeSearch:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_prediction_is_one_plus_mean_matched_prefix(self, seed):
         rank_vectors = random_rank_vectors(seed, n=400)
         for cand in greedy_trees(rank_vectors, 4):
-            mean = np.mean([longest_matched_prefix(cand.topology.paths, r) for r in rank_vectors])
-            assert cand.tokens_per_step == pytest.approx(1.0 + mean, abs=1e-12)
+            assert cand.tokens_per_step == pytest.approx(
+                predicted_tokens_per_step(cand.topology.paths, rank_vectors), abs=1e-12
+            )
 
     def test_hand_made_rank_vectors(self):
         rank_vectors = [(0, 0, 0, 0), (0, 1), (1,), (), (0, 0, 2)]
-        chosen, candidates = search_topology(rank_vectors, 4, lambda n: 1.0 + 0.1 * n)
+        candidates = greedy_trees(rank_vectors, 4)
         # chain: 1 + (4 + 1 + 0 + 0 + 2) / 5
         assert candidates[0].topology.paths == ((0,), (0, 0), (0, 0, 0), (0, 0, 0, 0))
         assert candidates[0].tokens_per_step == pytest.approx(1 + 7 / 5)
         # every observed path: 1 + mean vector length
         assert candidates[-1].tokens_per_step == pytest.approx(1 + 10 / 5)
-        assert chosen in candidates
+        assert search_topology(candidates, lambda n: 1.0 + 0.1 * n) in candidates
 
     def test_trees_are_prefix_closed_with_depth_k(self):
         for depth, rank_vectors in ((4, random_rank_vectors(2)), (3, [(1, 2), (0,), ()])):
@@ -480,19 +472,19 @@ class TestTreeSearch:
         by_nodes = {c.topology.node_count: c for c in greedy_trees(rank_vectors, 4)}
         for name, paths in PRESET_PATHS.items():
             n = preset_topology(name).node_count
-            assert expected_tokens_per_step(paths, rank_vectors) <= (
+            assert predicted_tokens_per_step(paths, rank_vectors) <= (
                 by_nodes[n].tokens_per_step + 1e-12
             ), name
 
     def test_search_maximises_tokens_per_second(self):
         rank_vectors = random_rank_vectors(4)
         cost = lambda n: 2.0 + 0.07 * n  # noqa: E731
-        chosen, candidates = search_topology(rank_vectors, 4, cost)
+        candidates = greedy_trees(rank_vectors, 4)
         rates = [c.tokens_per_step / cost(c.topology.node_count) for c in candidates]
-        assert chosen is candidates[int(np.argmax(rates))]
+        assert search_topology(candidates, cost) is candidates[int(np.argmax(rates))]
         # free nodes: the largest tree wins; costly nodes: the chain
-        assert search_topology(rank_vectors, 4, lambda n: 1.0)[0] == candidates[-1]
-        assert search_topology(rank_vectors, 4, lambda n: n)[0].topology.node_count == 5
+        assert search_topology(candidates, lambda n: 1.0) is candidates[-1]
+        assert search_topology(candidates, lambda n: n).topology.node_count == 5
 
     def test_rejects_rank_vectors_deeper_than_the_tree(self):
         with pytest.raises(ValueError, match="depth"):
