@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import statistics
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -71,7 +71,6 @@ class RunConfig:
     n_prompts: int = 8
     prompt_len: int = 12
     seed: int = 0
-    timing_reps: int = 3
     epsilon: float = 0.09
     delta: float = 0.3
 
@@ -96,8 +95,6 @@ class MetricsReport:
     tokens_per_sec: float = 0.0
     ar_tokens_per_sec: float = 0.0
     speedup_vs_ar: float = 0.0
-    head_top1: list[float] = field(default_factory=list)
-    head_top5: list[float] = field(default_factory=list)
 
 
 def build_model(config: ModelConfig, seed: int) -> TargetModel:
@@ -116,6 +113,37 @@ def promoted_copy(model32: TargetModel, config: ModelConfig, seed: int) -> Targe
     return model
 
 
+def pretrain_target(
+    model_config: ModelConfig, train_config: TrainConfig, corpus, seed: int, target_epochs: int = 8
+):
+    """Pretrain the target in f32 and return (f32 target, frozen; its f64 twin;
+    report). Training runs in f32 for speed and decoding in f64 for the exact
+    greedy-losslessness contract; drafters train against the f32 target."""
+    with T.dtype_context(np.float32):
+        model32 = build_model(model_config, seed)
+        report = train_target(corpus, model32, replace(train_config, epochs=target_epochs, seed=seed))
+        model32.freeze()
+    return model32, promoted_copy(model32, model_config, seed), report
+
+
+def train_drafter(
+    drafter_config: DrafterConfig,
+    train_config: TrainConfig,
+    corpus,
+    model32: TargetModel,
+    model: TargetModel,
+    seed: int,
+):
+    """Train a drafter in f32 on ``model32``, then promote it to f64 and
+    attach the embedding of ``model``, the f64 twin; return (drafter, report)."""
+    with T.dtype_context(np.float32):
+        drafter = build_drafter(drafter_config, model32, seed)
+        report = train(corpus, model32, drafter, replace(train_config, seed=seed))
+    drafter.promote_to(np.float64)
+    drafter.attach_token_embedding(model.token_emb)
+    return drafter, report
+
+
 def train_system(
     model_config: ModelConfig,
     drafter_config: DrafterConfig,
@@ -124,20 +152,11 @@ def train_system(
     seed: int,
     target_epochs: int = 8,
 ):
-    """Pretrain the target and train the drafter in f32, then promote both to
-    f64 for the decoding engine (training speed without giving up the exact
-    greedy-losslessness contract at evaluation time)."""
-    with T.dtype_context(np.float32):
-        model32 = build_model(model_config, seed)
-        target_report = train_target(
-            corpus, model32, replace(train_config, epochs=target_epochs, seed=seed)
-        )
-        model32.freeze()
-        drafter = build_drafter(drafter_config, model32, seed)
-        report = train(corpus, model32, drafter, replace(train_config, seed=seed))
-    model = promoted_copy(model32, model_config, seed)
-    drafter.promote_to(np.float64)
-    drafter.attach_token_embedding(model.token_emb)
+    """Pretrain the target and train the drafter; both come back in f64."""
+    model32, model, target_report = pretrain_target(
+        model_config, train_config, corpus, seed, target_epochs
+    )
+    drafter, report = train_drafter(drafter_config, train_config, corpus, model32, model, seed)
     return model, drafter, report, target_report
 
 
@@ -199,7 +218,6 @@ def run_prompt_set(
     drafter: Drafter | None,
     run: RunConfig,
     prompts: list[list[int]],
-    check_lossless: bool = True,
     ar_refs: list[GenerationResult] | None = None,
 ) -> tuple[MetricsReport, list[GenerationResult]]:
     """Evaluate a prompt set; greedy speculative runs carry a losslessness flag
@@ -209,7 +227,7 @@ def run_prompt_set(
     lossless: bool | None = None
     for i, prompt in enumerate(prompts):
         res = run_prompt(model, drafter, run, prompt, prompt_index=i)
-        if run.mode != "ar" and run.temperature == 0 and check_lossless:
+        if run.mode != "ar" and run.temperature == 0:
             ref = (
                 ar_refs[i]
                 if ar_refs is not None
@@ -237,25 +255,6 @@ def run_prompt_set(
         lossless=lossless,
     )
     return report, results
-
-
-def timed_tokens_per_sec(
-    model: TargetModel,
-    drafter: Drafter | None,
-    run: RunConfig,
-    prompts: list[list[int]],
-    reps: int = 3,
-) -> float:
-    """Median-of-reps throughput over the prompt set (wall clock, not contract)."""
-    rates = []
-    for _ in range(max(1, reps)):
-        start = time.perf_counter()
-        emitted = 0
-        for i, prompt in enumerate(prompts):
-            res = run_prompt(model, drafter, run, prompt, prompt_index=i)
-            emitted += res.emitted_raw
-        rates.append(emitted / (time.perf_counter() - start))
-    return statistics.median(rates)
 
 
 def pass_tokens_per_sec(results: list[GenerationResult]) -> float:
@@ -444,7 +443,7 @@ def measure_step_cost(
                 tout = model.forward(
                     tree.tokens, cache, mask=tree.mask, positions=base + tree.positions
                 )
-                commit(verify(tree, tout.logits, "greedy", 0.0), tree, cache, None)
+                commit(verify(tree, tout.logits, "greedy", 0.0), tree, cache)
                 t2 = time.perf_counter()
                 cache.truncate(base)
                 session.state.rollback(drafted)
@@ -549,24 +548,18 @@ def run_ablation_suite(
     for seed in ablation.seeds:
         corpus = make_corpus(corpus_spec, seed)
         prompts = make_prompts(corpus_spec, seed, ablation.n_eval_prompts, ablation.prompt_len)
-        with T.dtype_context(np.float32):
-            model32 = build_model(model_config, seed)
-            train_target(
-                corpus, model32, replace(train_config, epochs=ablation.target_epochs, seed=seed)
-            )
-            model32.freeze()
-        model = promoted_copy(model32, model_config, seed)
+        model32, model, _ = pretrain_target(
+            model_config, train_config, corpus, seed, ablation.target_epochs
+        )
 
         run_ar = RunConfig(mode="ar", max_new_tokens=ablation.max_new_tokens, seed=seed)
         _, ar_results = run_prompt_set(model, None, run_ar, prompts)
         ar_rate = pass_tokens_per_sec(ar_results)
 
         for name in VARIANT_NAMES:
-            with T.dtype_context(np.float32):
-                drafter = build_drafter(variant_config(name, drafter_config), model32, seed)
-                train(corpus, model32, drafter, replace(train_config, seed=seed))
-            drafter.promote_to(np.float64)
-            drafter.attach_token_embedding(model.token_emb)
+            drafter, _ = train_drafter(
+                variant_config(name, drafter_config), train_config, corpus, model32, model, seed
+            )
             run = RunConfig(
                 mode=name,
                 topology=ablation.topology,

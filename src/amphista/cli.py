@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .bench import (
@@ -25,10 +25,10 @@ from .bench import (
     build_drafter,
     build_model,
     node_sweep,
+    pass_tokens_per_sec,
     run_ablation_suite,
     run_prompt_set,
     selfcheck,
-    timed_tokens_per_sec,
     train_system,
     tree_search,
     write_ablation_csv,
@@ -43,7 +43,7 @@ from .bench import (
     write_tree_search_timing_csv,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
-from .configfile import coerce_dataclass, dump_config, load_config
+from .configfile import ConfigError, coerce_dataclass, dump_config, load_config
 from .corpus import CorpusSpec, detokenize, make_corpus, make_prompts, tokenize
 from .drafter import DrafterConfig, variant_config
 from .model import ModelConfig
@@ -51,8 +51,26 @@ from .speculation import format_topology
 from .training import TrainConfig
 
 
+# The config classes that read keys, by key prefix; ``cmd_train`` and
+# ``cmd_node_sweep`` also read ``target_epochs``.
+_CONFIG_SECTIONS = (
+    ("", ModelConfig),
+    ("", DrafterConfig),
+    ("", TrainConfig),
+    ("corpus_", CorpusSpec),
+    ("", RunConfig),
+    ("ablation_", AblationConfig),
+)
+
+
 def _load_raw(path: str | None) -> dict[str, str]:
-    return load_config(path) if path else {}
+    """The file's key=value pairs; a key that no config reads is an error."""
+    raw = load_config(path) if path else {}
+    known = {prefix + f.name for prefix, cls in _CONFIG_SECTIONS for f in fields(cls)}
+    stray = sorted(set(raw) - known - {"target_epochs"})
+    if stray:
+        raise ConfigError(f"{path}: unknown key(s) {', '.join(stray)}; no config reads them")
+    return raw
 
 
 def _build_configs(args):
@@ -177,13 +195,12 @@ def cmd_bench(args) -> int:
     ar_run = replace(run_cfg, mode="ar")
     ar_report, ar_results = run_prompt_set(model, None, ar_run, prompts)
     try:
-        report, results = run_prompt_set(model, drafter, run_cfg, prompts)
+        report, results = run_prompt_set(model, drafter, run_cfg, prompts, ar_refs=ar_results)
     except LosslessnessError as err:
         print(f"LOSSLESSNESS VIOLATION: {err}", file=sys.stderr)
         return 1
 
-    ar_rate = timed_tokens_per_sec(model, None, ar_run, prompts, run_cfg.timing_reps)
-    rate = timed_tokens_per_sec(model, drafter, run_cfg, prompts, run_cfg.timing_reps)
+    ar_rate, rate = pass_tokens_per_sec(ar_results), pass_tokens_per_sec(results)
     ar_report.tokens_per_sec = ar_report.ar_tokens_per_sec = ar_rate
     ar_report.speedup_vs_ar = 1.0
     report.tokens_per_sec, report.ar_tokens_per_sec = rate, ar_rate
@@ -258,17 +275,13 @@ def cmd_node_sweep(args) -> int:
     budgets = [int(b) for b in args.budgets.split(",")]
 
     if args.ckpt:
-        model = build_model(model_cfg, seed)
-        state = load_checkpoint(args.ckpt)
-        model.load_state_dict(state, prefix="target.")
-        model.freeze()
-        drafter = build_drafter(drafter_cfg, model, seed)
-        drafter.load_state_dict(state, prefix="drafter.")
+        model, drafter = _build_system(args, model_cfg, drafter_cfg, run_cfg)
     else:
         corpus = make_corpus(corpus_spec, seed)
         target_epochs = int(raw.get("target_epochs", "8"))
+        variant = _variant_for_mode(run_cfg.mode, drafter_cfg)
         model, drafter, _, _ = train_system(
-            model_cfg, drafter_cfg, train_cfg, corpus, seed, target_epochs=target_epochs
+            model_cfg, variant, train_cfg, corpus, seed, target_epochs=target_epochs
         )
 
     prompts = make_prompts(corpus_spec, seed, run_cfg.n_prompts, run_cfg.prompt_len)

@@ -66,14 +66,11 @@ def topk_lists(
     d_logits: np.ndarray, sizes: tuple[int, ...]
 ) -> list[list[tuple[int, float]]]:
     """Per-head (token, probability) lists, descending, ties to lower tokens."""
+    probs = T.stable_softmax(d_logits)
     out = []
     for k, size in enumerate(sizes):
-        row = d_logits[k]
-        shifted = row - row.max()
-        probs = np.exp(shifted)
-        probs /= probs.sum()
-        idx = np.argsort(-probs, kind="stable")[:size]
-        out.append([(int(i), float(probs[i])) for i in idx])
+        idx = np.argsort(-probs[k], kind="stable")[:size]
+        out.append([(int(i), float(probs[k, i])) for i in idx])
     return out
 
 

@@ -77,11 +77,9 @@ class OracleDrafterSession:
     drafts, the theoretical upper bound.
     """
 
-    def __init__(self, model: TargetModel, k: int = 4, top_k_per_head: tuple[int, ...] = ()):
+    def __init__(self, model: TargetModel, k: int = 4):
         self.model = model
         self.k = k
-        self.top_k = top_k_per_head or (10,) * k
-        self.state = None
 
     @property
     def depth(self) -> int:
@@ -99,7 +97,7 @@ class OracleDrafterSession:
         finally:
             model_cache.truncate(base)
         d_logits = np.stack(rows)
-        return DraftOutput(d_logits=Tensor(d_logits), topk=topk_lists(d_logits, self.top_k))
+        return DraftOutput(d_logits=Tensor(d_logits), topk=topk_lists(d_logits, (10,) * self.k))
 
 
 def _check_budget(model: TargetModel, prompt: list[int], max_new_tokens: int) -> None:
@@ -200,7 +198,7 @@ def speculative_generate(
         result = verify(
             tree, tout.logits, rule, temperature, rng, epsilon=epsilon, delta=delta
         )
-        bonus = commit(result, tree, cache, getattr(session, "state", None))
+        bonus = commit(result, tree, cache)
         new.extend(int(tree.tokens[i]) for i in result.accepted_nodes[1:])
         new.append(bonus)
         events.append(

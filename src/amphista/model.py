@@ -189,11 +189,7 @@ def sample(logits, temperature: float, rng: np.random.Generator | None = None) -
         return int(np.argmax(data))
     if rng is None:
         raise ValueError("temperature > 0 sampling requires an rng")
-    scaled = data / temperature
-    shifted = scaled - scaled.max()
-    probs = np.exp(shifted)
-    probs /= probs.sum()
-    return categorical(probs, rng)
+    return categorical(T.stable_softmax(data / temperature), rng)
 
 
 def categorical(probs: np.ndarray, rng: np.random.Generator) -> int:

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .model import KVCache, categorical
-from .tensor import Tensor
+from .tensor import Tensor, stable_softmax
 
 Path_ = tuple[int, ...]
 
@@ -189,8 +189,10 @@ def preset_topology(name: str) -> TreeTopology:
     return TreeTopology.from_paths(PRESET_PATHS[name])
 
 
+@cache
 def resolve_topology(spec: str) -> TreeTopology:
-    """Accept a preset name or a path to a topology file."""
+    """Accept a preset name or a path to a topology file; a file is read once
+    per process, as a preset is built once."""
     if spec in PRESET_PATHS:
         return preset_topology(spec)
     p = Path(spec)
@@ -321,7 +323,8 @@ def sample_chain_tree(
     """Single-path tree whose tokens are *drawn* from each head's distribution,
     as required for rejection-sampling verification (the top-k tree is a
     deterministic proposal and would bias the accepted distribution)."""
-    dists = _head_dists(draft)
+    rows = draft.d_logits.data if isinstance(draft.d_logits, Tensor) else np.asarray(draft.d_logits)
+    dists = stable_softmax(rows)
     topology = TreeTopology.from_paths([(0,) * k for k in range(1, depth + 1)])
     tokens = np.zeros(depth + 1, dtype=np.int64)
     probs = np.ones(depth + 1, dtype=np.float64)
@@ -333,13 +336,6 @@ def sample_chain_tree(
     return DraftTree(
         topology=topology, tokens=tokens, probs=probs, mask=topology.mask, head_dists=dists
     )
-
-
-def _head_dists(draft) -> np.ndarray:
-    rows = draft.d_logits.data if isinstance(draft.d_logits, Tensor) else np.asarray(draft.d_logits)
-    shifted = rows - rows.max(axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=-1, keepdims=True)
 
 
 @dataclass
@@ -354,13 +350,6 @@ class VerifyResult:
     @property
     def tokens_emitted(self) -> int:
         return self.accepted_len + 1
-
-
-def _temperature_dist(logits_row: np.ndarray, temperature: float) -> np.ndarray:
-    scaled = logits_row / temperature
-    shifted = scaled - scaled.max()
-    p = np.exp(shifted)
-    return p / p.sum()
 
 
 def chain_accept_step(
@@ -425,7 +414,7 @@ def verify(
         node = 0
         accepted = [0]
         while True:
-            p = _temperature_dist(logits[node], temperature)
+            p = stable_softmax(logits[node] / temperature)
             entropy = -np.sum(p * np.log(np.maximum(p, 1e-300)))
             threshold = min(epsilon, delta * np.exp(-entropy))
             ok = [c for c in children[node] if p[tree.tokens[c]] >= threshold]
@@ -445,20 +434,20 @@ def verify(
         accepted = [0]
         while children[node]:
             child = children[node][0]
-            p = _temperature_dist(logits[node], temperature)
+            p = stable_softmax(logits[node] / temperature)
             q = tree.head_dists[tree.topology.depth[child] - 1]
             ok, bonus = chain_accept_step(p, q, int(tree.tokens[child]), rng)
             if not ok:
                 return VerifyResult(accepted_nodes=accepted, bonus_token=bonus)
             accepted.append(child)
             node = child
-        p = _temperature_dist(logits[node], temperature)
+        p = stable_softmax(logits[node] / temperature)
         return VerifyResult(accepted_nodes=accepted, bonus_token=categorical(p, rng))
 
     raise ValueError(f"unknown verification rule {rule!r}")
 
 
-def commit(result: VerifyResult, tree: DraftTree, model_cache: KVCache, draft_state) -> int:
+def commit(result: VerifyResult, tree: DraftTree, model_cache: KVCache) -> int:
     """Apply a verification outcome: compact the model cache to the accepted
     path and hand back the bonus token as the next round's root."""
     base = model_cache.length - tree.node_count

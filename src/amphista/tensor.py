@@ -48,7 +48,7 @@ __all__ = [
     "rms_norm",
     "embedding",
     "lookup",
-    "topk",
+    "stable_softmax",
     "cross_entropy",
     "backward",
 ]
@@ -490,9 +490,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Probabilities along ``axis``, stabilized by max subtraction."""
     if x.data.shape == () or x.data.shape[axis] < 1:
         raise DimensionError("softmax over an empty axis")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    ex = np.exp(shifted)
-    out = ex / ex.sum(axis=axis, keepdims=True)
+    out = stable_softmax(x.data, axis)
 
     def bwd(g):
         inner = (g * out).sum(axis=axis, keepdims=True)
@@ -522,6 +520,12 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     return _result(out, (x, gain), bwd)
 
 
+def stable_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax of a plain array along ``axis``, stabilized by max subtraction."""
+    ex = np.exp(x - x.max(axis=axis, keepdims=True))
+    return ex / ex.sum(axis=axis, keepdims=True)
+
+
 def lookup(table: np.ndarray, ids) -> np.ndarray:
     """Rows of a plain array, with the id range check of ``embedding``."""
     ids = np.asarray(ids)
@@ -541,25 +545,6 @@ def embedding(table: Tensor, ids) -> Tensor:
         _accum(table, buf)
 
     return _result(out, (table,), bwd)
-
-
-def topk(x: Tensor, k: int) -> tuple[Tensor, np.ndarray]:
-    """Top-k values along the last axis, ties broken toward lower indices.
-
-    Returns (values, indices); gradients flow to the selected entries only.
-    """
-    n = x.data.shape[-1]
-    if not 1 <= k <= n:
-        raise DimensionError(f"topk k={k} out of range for axis extent {n}")
-    idx = np.argsort(-x.data, axis=-1, kind="stable")[..., :k]
-    values = np.take_along_axis(x.data, idx, axis=-1)
-
-    def bwd(g):
-        buf = np.zeros_like(x.data)
-        np.put_along_axis(buf, idx, g, axis=-1)
-        _accum(x, buf)
-
-    return _result(values, (x,), bwd), idx
 
 
 def _log_softmax_data(logits: np.ndarray) -> np.ndarray:

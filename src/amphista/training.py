@@ -52,10 +52,7 @@ def compute_losses(
         raise T.DimensionError(
             f"target logits shape {tl.shape} != draft logits shape {d_logits.shape}"
         )
-    shifted = tl - tl.max(axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    soft = ex / ex.sum(axis=-1, keepdims=True)
-    alignment = T.cross_entropy(d_logits, soft)
+    alignment = T.cross_entropy(d_logits, T.stable_softmax(tl))
     lm = T.cross_entropy(d_logits, np.asarray(gt, dtype=np.int64))
     dt = d_logits.data.dtype
     total = T.add(

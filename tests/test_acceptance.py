@@ -254,7 +254,7 @@ def test_criterion_10_cli_determinism(tmp_path):
                 "ffn_dim=64", "max_seq_len=256", "sal_heads=2",
                 "corpus_vocab=16", "corpus_n_sequences=48", "corpus_seq_len=24",
                 "epochs=1", "batch_size=8", "target_epochs=1",
-                "n_prompts=3", "prompt_len=8", "max_new_tokens=24", "timing_reps=1",
+                "n_prompts=3", "prompt_len=8", "max_new_tokens=24",
             ]
         )
         + "\n"

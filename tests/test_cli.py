@@ -1,9 +1,11 @@
 """CLI front end: exit codes, artifacts on disk, error paths."""
 
 import argparse
+import csv
 
 import pytest
 
+from amphista import bench
 from amphista.cli import _build_configs, _build_system, main
 from amphista.engine import DrafterSession, ar_generate, speculative_generate
 from amphista.speculation import load_topology
@@ -25,7 +27,6 @@ target_epochs=1
 n_prompts=2
 prompt_len=8
 max_new_tokens=20
-timing_reps=1
 """
 
 
@@ -66,6 +67,27 @@ class TestCommands:
         assert rc == 0
         text = (tmp_path / "bench.csv").read_text()
         assert "vanilla_chain" in text
+
+    def test_bench_decodes_ar_once_per_prompt(self, tiny_cfg, trained_dir, tmp_path, monkeypatch):
+        """The AR pass is both the losslessness reference and the timing anchor."""
+        calls = []
+        real = bench.ar_generate
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "ar_generate", counting)
+        rc = main(
+            ["bench", "--config", tiny_cfg, "--seed", "1", "--out", str(tmp_path),
+             "--ckpt", str(trained_dir / "checkpoint.bin")]
+        )
+        assert rc == 0
+        assert len(calls) == 2  # n_prompts=2
+        with open(tmp_path / "bench_timing.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [r["mode"] for r in rows] == ["ar", "amphista"]
+        assert all(float(r["tokens_per_sec"]) > 0 for r in rows)
 
     def test_node_sweep_with_ckpt(self, tiny_cfg, trained_dir, tmp_path):
         rc = main(

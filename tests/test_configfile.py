@@ -1,12 +1,21 @@
 """Config file parsing and dataclass binding."""
 
+import argparse
+from pathlib import Path
+
 import pytest
 
+from amphista.cli import _build_configs
 from amphista.configfile import ConfigError, coerce_dataclass, dump_config, parse_config
 from amphista.corpus import CorpusSpec
 from amphista.drafter import DrafterConfig
 from amphista.model import ModelConfig
 from amphista.training import TrainConfig
+
+
+def _cli_args(config) -> argparse.Namespace:
+    """The namespace ``amphista <cmd> --config CONFIG`` parses to."""
+    return argparse.Namespace(config=str(config), seed=None, mode=None, temperature=None, topology=None)
 
 
 FULL_TEXT = """
@@ -96,11 +105,19 @@ class TestRoundTrip:
         assert coerce_dataclass(CorpusSpec, raw, prefix="corpus_") == CorpusSpec()
 
     def test_shipped_configs_parse(self):
-        from pathlib import Path
-
-        for name in ("toy.cfg", "ablation.cfg"):
-            raw = parse_config((Path(__file__).parents[1] / "configs" / name).read_text())
+        paths = sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))
+        assert {p.name for p in paths} >= {"toy.cfg", "ablation.cfg"}
+        for path in paths:
+            raw = parse_config(path.read_text())
             coerce_dataclass(ModelConfig, raw)
             coerce_dataclass(DrafterConfig, raw)
             coerce_dataclass(TrainConfig, raw)
             coerce_dataclass(CorpusSpec, raw, prefix="corpus_")
+            _build_configs(_cli_args(path))
+
+    def test_stray_key_is_named_before_any_work(self, tmp_path):
+        path = tmp_path / "typo.cfg"
+        path.write_text("hidden_dim=32\nn_promts=3\ntarget_epochs=1\ncorpus_vocab=16\n")
+        with pytest.raises(ConfigError, match="n_promts") as err:
+            _build_configs(_cli_args(path))
+        assert "hidden_dim" not in str(err.value) and "target_epochs" not in str(err.value)

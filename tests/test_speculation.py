@@ -24,6 +24,7 @@ from amphista.speculation import (
     load_topology,
     parse_topology,
     preset_topology,
+    resolve_topology,
     sample_chain_tree,
     search_topology,
     verify,
@@ -115,6 +116,13 @@ class TestTopology:
         path.write_text(format_topology(topo))
         back = load_topology(path)
         assert back == topo
+
+    def test_topology_file_is_resolved_once(self, tmp_path):
+        path = tmp_path / "tree.txt"
+        path.write_text(format_topology(preset_topology("sparse22")))
+        first = resolve_topology(str(path))
+        assert resolve_topology(str(path)) is first
+        assert first == preset_topology("sparse22") and not first.mask.flags.writeable
 
     def test_parse_validates_closure(self):
         with pytest.raises(TopologyError):
@@ -295,7 +303,7 @@ class TestCommit:
         tree = chain_tree([1, 3, 5, 7, 9])
         cache, tout = self._run_tree_round(model, [2, 2, 2], tree)
         res = VerifyResult(accepted_nodes=[0], bonus_token=4)
-        bonus = commit(res, tree, cache, None)
+        bonus = commit(res, tree, cache)
         assert bonus == 4
         assert cache.length == 3 + 1
 
@@ -306,7 +314,7 @@ class TestCommit:
         with T.no_grad():
             model.forward([2, 2], cache)
         with pytest.raises(ValueError):
-            commit(VerifyResult([0], 4), tree, cache, None)
+            commit(VerifyResult([0], 4), tree, cache)
 
     def test_greedy_round_then_ar_matches_pure_ar(self):
         """After a speculative round and commit, continuing autoregressively
@@ -335,7 +343,7 @@ class TestCommit:
             base = cache.length
             tout = model.forward(tree.tokens, cache, mask=tree.mask, positions=base + tree.positions)
             res = verify(tree, tout.logits, "greedy", 0.0)
-            bonus = commit(res, tree, cache, None)
+            bonus = commit(res, tree, cache)
             spec_tokens = [root] + [int(tree.tokens[i]) for i in res.accepted_nodes[1:]] + [bonus]
             tok = bonus
             while len(spec_tokens) < 8:
@@ -362,7 +370,7 @@ class TestCommit:
                     tree.tokens, cache, mask=tree.mask, positions=base + tree.positions
                 )
                 res = verify(tree, tout.logits, "greedy", 0.0)
-                tok = commit(res, tree, cache, None)
+                tok = commit(res, tree, cache)
                 emitted += res.tokens_emitted
                 assert cache.length == len(prompt) + emitted - 1
 

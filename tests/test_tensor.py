@@ -114,6 +114,39 @@ class TestSoftmax:
         b = T.softmax(Tensor([x + c for x in xs])).data
         assert np.abs(a - b).max() <= 1e-6
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stable_softmax_matches_the_inline_forms_bit_for_bit(self, dtype):
+        """``stable_softmax`` replaced these hand-written forms; every
+        checkpoint, event log and CSV stays byte-identical only while it
+        matches them exactly."""
+
+        def row_in_place(row):  # model.sample, drafter.topk_lists
+            probs = np.exp(row - row.max())
+            probs /= probs.sum()
+            return probs
+
+        def row_divided(row):  # speculation._temperature_dist
+            p = np.exp(row - row.max())
+            return p / p.sum()
+
+        def block(rows):  # speculation._head_dists, training.compute_losses, T.softmax
+            ex = np.exp(rows - rows.max(axis=-1, keepdims=True))
+            return ex / ex.sum(axis=-1, keepdims=True)
+
+        rng = np.random.default_rng(11)
+        for vocab in (7, 256, 4099):
+            rows = (rng.standard_normal((3, 4, vocab)) * 4).astype(dtype)
+            assert np.array_equal(T.stable_softmax(rows), block(rows))
+            for head_block in rows:
+                got = T.stable_softmax(head_block)
+                for k, row in enumerate(head_block):
+                    assert np.array_equal(got[k], row_in_place(row))
+                for temperature in (1.0, 0.8, 0.7):
+                    for row in head_block:
+                        got = T.stable_softmax(row / temperature)
+                        assert np.array_equal(got, row_in_place(row / temperature))
+                        assert np.array_equal(got, row_divided(row / temperature))
+
 
 class TestCrossEntropy:
     def test_uniform_hard(self):
@@ -247,15 +280,6 @@ class TestRequiredOpGradients:
             lambda: T.tsum(T.mul(T.embedding(table, ids), T.embedding(table, ids))),
             [table],
         )
-
-    def test_topk_values(self):
-        rng = np.random.default_rng(7)
-        x = Parameter(rng.standard_normal(6))
-        assert_matches_finite_differences(lambda: T.tsum(T.topk(x, 3)[0]), [x])
-
-    def test_topk_tie_break_is_lowest_index(self):
-        values, idx = T.topk(Tensor([1.0, 3.0, 3.0, 0.0]), 2)
-        assert list(idx) == [1, 2]
 
     def test_softmax_grad(self):
         rng = np.random.default_rng(8)
