@@ -1,6 +1,6 @@
 """End-to-end harness: builds systems, runs AR vs speculative decoding,
 aggregates throughput metrics, and drives the ablation matrix and the
-tree-size sweep.
+cost-aware tree search.
 
 Reports are split deliberately: the main CSVs and event logs contain only
 seed-determined values (byte-identical across reruns); wall-clock numbers
@@ -30,9 +30,9 @@ from .engine import (
 )
 from .model import ModelConfig, TargetModel
 from .speculation import (
-    NODE_BUDGET_PRESETS,
     TreeCandidate,
     TreeTopology,
+    chain_topology,
     commit,
     expand_tree,
     greedy_trees,
@@ -190,7 +190,7 @@ def run_prompt(
             raise ValueError("vanilla_chain mode needs a drafter")
         session = DrafterSession(drafter)
         if run.temperature == 0:
-            topology, rule = preset_topology("chain"), "greedy"
+            topology, rule = chain_topology(drafter.config.K), "greedy"
         else:
             topology, rule = None, "chain"
     else:
@@ -609,69 +609,6 @@ def write_ablation_timing_csv(path: str | Path, rows: list[AblationRow]) -> None
             w.writerow([row.variant] + [f"{row.speedup[s]:.3f}" for s in seeds])
 
 
-# -- node-count sweep ---------------------------------------------------------------------
-
-
-@dataclass
-class NodeSweepRow:
-    budget: int
-    nodes: int
-    tokens_per_step: float
-    speedup: float
-
-
-def node_sweep(
-    model: TargetModel,
-    drafter: Drafter,
-    budgets: list[int],
-    prompts: list[list[int]],
-    max_new_tokens: int = 24,
-    seed: int = 0,
-) -> list[NodeSweepRow]:
-    run_ar = RunConfig(mode="ar", max_new_tokens=max_new_tokens, seed=seed)
-    _, ar_results = run_prompt_set(model, None, run_ar, prompts)
-    ar_rate = pass_tokens_per_sec(ar_results)
-    rows = []
-    for budget in budgets:
-        if budget not in NODE_BUDGET_PRESETS:
-            raise ValueError(
-                f"no topology preset for budget {budget}; have {sorted(NODE_BUDGET_PRESETS)}"
-            )
-        preset = NODE_BUDGET_PRESETS[budget]
-        topology = preset_topology(preset)
-        run = RunConfig(
-            mode="amphista", topology=preset, max_new_tokens=max_new_tokens, seed=seed
-        )
-        report, results = run_prompt_set(model, drafter, run, prompts, ar_refs=ar_results)
-        rows.append(
-            NodeSweepRow(
-                budget=budget,
-                nodes=topology.node_count,
-                tokens_per_step=report.tokens_per_step,
-                speedup=pass_tokens_per_sec(results) / ar_rate,
-            )
-        )
-    return rows
-
-
-def write_node_sweep_csv(path: str | Path, rows: list[NodeSweepRow]) -> None:
-    tps = [r.tokens_per_step for r in rows]
-    monotone = all(a <= b + 1e-12 for a, b in zip(tps, tps[1:]))
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["budget", "nodes", "tokens_per_step", "monotone_nondecreasing"])
-        for r in rows:
-            w.writerow([r.budget, r.nodes, f"{r.tokens_per_step:.6f}", monotone])
-
-
-def write_node_sweep_timing_csv(path: str | Path, rows: list[NodeSweepRow]) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["budget", "speedup_vs_ar"])
-        for r in rows:
-            w.writerow([r.budget, f"{r.speedup:.3f}"])
-
-
 # -- head accuracy -------------------------------------------------------------------------
 
 
@@ -750,7 +687,7 @@ def selfcheck(seed: int = 0) -> list[tuple[str, bool, str]]:
     worst = 0.0
     for _ in range(5):
         prompt = list(rng.integers(0, config.vocab_size, size=6))
-        topo = preset_topology("sparse22")
+        topo = preset_topology("cart45")
         worst = max(worst, tree_attention_max_diff(model, prompt, topo, rng))
     checks.append(("tree_attention", worst <= 1e-5, f"max_abs_diff={worst:.2e}"))
 

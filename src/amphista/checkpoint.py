@@ -29,7 +29,8 @@ _CODE_FOR_KIND = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 
 
 class CheckpointError(ValueError):
-    """Malformed checkpoint bytes or duplicate parameter names."""
+    """Malformed checkpoint bytes, duplicate parameter names, or names the
+    loading system does not have."""
 
 
 def dump_state(state: dict[str, np.ndarray]) -> bytes:

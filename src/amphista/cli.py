@@ -1,7 +1,6 @@
 """Command-line interface.
 
-Subcommands: train, generate, bench, tree-search, ablate, node-sweep, head-acc,
-selfcheck.
+Subcommands: train, generate, bench, tree-search, ablate, head-acc, selfcheck.
 All outputs except the ``*_timing.csv`` sidecars and the tree that
 tree-search picks by measured cost are byte-determined by (config, seed); the
 process exits nonzero when a hard invariant (greedy losslessness,
@@ -24,7 +23,6 @@ from .bench import (
     ablation_direction,
     build_drafter,
     build_model,
-    node_sweep,
     pass_tokens_per_sec,
     run_ablation_suite,
     run_prompt_set,
@@ -36,13 +34,11 @@ from .bench import (
     write_event_log,
     write_head_accuracy_csv,
     write_metrics_csv,
-    write_node_sweep_csv,
-    write_node_sweep_timing_csv,
     write_timing_csv,
     write_tree_search_csv,
     write_tree_search_timing_csv,
 )
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .configfile import ConfigError, coerce_dataclass, dump_config, load_config
 from .corpus import CorpusSpec, detokenize, make_corpus, make_prompts, tokenize
 from .drafter import DrafterConfig, variant_config
@@ -51,8 +47,8 @@ from .speculation import format_topology
 from .training import TrainConfig
 
 
-# The config classes that read keys, by key prefix; ``cmd_train`` and
-# ``cmd_node_sweep`` also read ``target_epochs``.
+# The config classes that read keys, by key prefix; ``cmd_train`` also reads
+# ``target_epochs``.
 _CONFIG_SECTIONS = (
     ("", ModelConfig),
     ("", DrafterConfig),
@@ -111,6 +107,14 @@ def _build_system(args, model_cfg, drafter_cfg, run_cfg):
     drafter = build_drafter(_variant_for_mode(run_cfg.mode, drafter_cfg), model, run_cfg.seed)
     if args.ckpt:
         state = load_checkpoint(args.ckpt)
+        known = {name for name, _ in model.named_parameters("target.")}
+        known |= {name for name, _ in drafter.named_parameters("drafter.")}
+        stray = sorted(set(state) - known)
+        if stray:
+            raise CheckpointError(
+                f"{args.ckpt}: a --mode {run_cfg.mode} system has no parameter(s) "
+                f"{', '.join(stray)}; was the checkpoint trained for another mode?"
+            )
         model.load_state_dict(state, prefix="target.")
         drafter.load_state_dict(state, prefix="drafter.")
     return model, drafter
@@ -172,11 +176,7 @@ def cmd_generate(args) -> int:
         print("error: empty prompt", file=sys.stderr)
         return 1
 
-    try:
-        report, results = run_prompt_set(model, drafter, run_cfg, [prompt])
-    except LosslessnessError as err:
-        print(f"LOSSLESSNESS VIOLATION: {err}", file=sys.stderr)
-        return 1
+    report, results = run_prompt_set(model, drafter, run_cfg, [prompt])
     write_event_log(out / "events.log", run_cfg, results)
     write_metrics_csv(out / "generate.csv", [report])
     text = detokenize(results[0].tokens).decode("utf-8", errors="backslashreplace")
@@ -194,11 +194,7 @@ def cmd_bench(args) -> int:
 
     ar_run = replace(run_cfg, mode="ar")
     ar_report, ar_results = run_prompt_set(model, None, ar_run, prompts)
-    try:
-        report, results = run_prompt_set(model, drafter, run_cfg, prompts, ar_refs=ar_results)
-    except LosslessnessError as err:
-        print(f"LOSSLESSNESS VIOLATION: {err}", file=sys.stderr)
-        return 1
+    report, results = run_prompt_set(model, drafter, run_cfg, prompts, ar_refs=ar_results)
 
     ar_rate, rate = pass_tokens_per_sec(ar_results), pass_tokens_per_sec(results)
     ar_report.tokens_per_sec = ar_report.ar_tokens_per_sec = ar_rate
@@ -225,11 +221,7 @@ def cmd_tree_search(args) -> int:
     prompts = make_prompts(
         corpus_spec, run_cfg.seed, CALIBRATION_PROMPTS, run_cfg.prompt_len, CALIBRATION_STREAM
     )
-    try:
-        result = tree_search(model, drafter, run_cfg, prompts)
-    except LosslessnessError as err:
-        print(f"LOSSLESSNESS VIOLATION: {err}", file=sys.stderr)
-        return 1
+    result = tree_search(model, drafter, run_cfg, prompts)
     (out / "topology.txt").write_text(format_topology(result.chosen.topology))
     write_tree_search_csv(out / "tree_search.csv", result.candidates)
     write_tree_search_timing_csv(out / "tree_search_timing.csv", result)
@@ -265,39 +257,6 @@ def cmd_ablate(args) -> int:
     verdict = "PASS" if ok else "WARN"
     print(f"direction check (full >= w/o auto-embedding, full >= medusa): {verdict} {per_seed}")
     print(f"wrote {out / 'ablation.csv'}")
-    return 0
-
-
-def cmd_node_sweep(args) -> int:
-    raw, model_cfg, drafter_cfg, train_cfg, corpus_spec, run_cfg = _build_configs(args)
-    out = _outdir(args)
-    seed = run_cfg.seed
-    budgets = [int(b) for b in args.budgets.split(",")]
-
-    if args.ckpt:
-        model, drafter = _build_system(args, model_cfg, drafter_cfg, run_cfg)
-    else:
-        corpus = make_corpus(corpus_spec, seed)
-        target_epochs = int(raw.get("target_epochs", "8"))
-        variant = _variant_for_mode(run_cfg.mode, drafter_cfg)
-        model, drafter, _, _ = train_system(
-            model_cfg, variant, train_cfg, corpus, seed, target_epochs=target_epochs
-        )
-
-    prompts = make_prompts(corpus_spec, seed, run_cfg.n_prompts, run_cfg.prompt_len)
-    rows = node_sweep(
-        model,
-        drafter,
-        budgets,
-        prompts,
-        max_new_tokens=run_cfg.max_new_tokens,
-        seed=seed,
-    )
-    write_node_sweep_csv(out / "node_sweep.csv", rows)
-    write_node_sweep_timing_csv(out / "node_sweep_timing.csv", rows)
-    for r in rows:
-        print(f"  nodes={r.nodes:3d}  tokens/step={r.tokens_per_step:.3f}")
-    print(f"wrote {out / 'node_sweep.csv'}")
     return 0
 
 
@@ -361,12 +320,6 @@ def main(argv=None) -> int:
     _add_shared_flags(p)
     p.set_defaults(fn=cmd_ablate)
 
-    p = sub.add_parser("node-sweep", help="tokens/step across draft-tree sizes")
-    _add_shared_flags(p)
-    p.add_argument("--ckpt", help="checkpoint from `train`")
-    p.add_argument("--budgets", default="22,35,45,64", help="comma-separated node budgets")
-    p.set_defaults(fn=cmd_node_sweep)
-
     p = sub.add_parser("head-acc", help="per-head top-1/top-5 accuracy table")
     _add_shared_flags(p)
     p.add_argument("--ckpt", help="checkpoint from `train`")
@@ -377,7 +330,11 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_selfcheck)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except LosslessnessError as err:
+        print(f"LOSSLESSNESS VIOLATION: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -166,8 +166,13 @@ def speculative_generate(
     finishes.
     """
     _check_budget(model, prompt, max_new_tokens)
-    if rule != "chain" and topology is None:
-        raise EngineError("tree verification requires a topology")
+    if rule != "chain":
+        if topology is None:
+            raise EngineError("tree verification requires a topology")
+        if topology.depth_max != session.depth:
+            raise EngineError(
+                f"topology depth {topology.depth_max} != drafter depth {session.depth}"
+            )
     tree_nodes = session.depth + 1 if rule == "chain" else topology.node_count
     start = time.perf_counter()
     cache = model.new_cache()

@@ -125,41 +125,6 @@ def cartesian_paths(per_level: list[int]) -> list[Path_]:
     return paths
 
 
-def _fanout_paths(fanouts_by_depth: list[dict[Path_, int]]) -> list[Path_]:
-    paths: list[Path_] = []
-    for fanouts in fanouts_by_depth:
-        for parent, n in fanouts.items():
-            paths.extend(parent + (c,) for c in range(n))
-    return paths
-
-
-# Hand-written sparse trees (depth 4): wide at shallow depths, narrowing along
-# the first-choice spine, mirroring the shape of learned 64-node trees.
-_SPARSE64 = _fanout_paths(
-    [
-        {(): 8},
-        {(0,): 6, (1,): 5, (2,): 4, (3,): 3, (4,): 2, (5,): 2, (6,): 1, (7,): 1},
-        {(0, 0): 5, (0, 1): 3, (0, 2): 2, (1, 0): 3, (1, 1): 2, (2, 0): 2, (3, 0): 1, (4, 0): 1},
-        {(0, 0, 0): 4, (0, 0, 1): 2, (0, 1, 0): 2, (1, 0, 0): 2, (2, 0, 0): 1, (0, 2, 0): 1},
-    ]
-)
-_SPARSE35 = _fanout_paths(
-    [
-        {(): 6},
-        {(0,): 4, (1,): 3, (2,): 2, (3,): 2, (4,): 1, (5,): 1},
-        {(0, 0): 3, (0, 1): 2, (1, 0): 2, (2, 0): 1, (0, 2): 1},
-        {(0, 0, 0): 3, (0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1},
-    ]
-)
-_SPARSE22 = _fanout_paths(
-    [
-        {(): 4},
-        {(0,): 3, (1,): 2, (2,): 1, (3,): 1},
-        {(0, 0): 2, (0, 1): 1, (1, 0): 1, (2, 0): 1},
-        {(0, 0, 0): 2, (0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1},
-    ]
-)
-
 # The tree of most tokens per second on the configs/toy.cfg seed-0 checkpoint:
 #   amphista train --config configs/toy.cfg --seed 0 --out runs/toy
 #   amphista tree-search --config configs/toy.cfg --seed 0 --topology cart45 \
@@ -171,14 +136,8 @@ _SEARCHED = [(0,), (1,), (0, 0), (0, 1), (0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1)]
 PRESET_PATHS: dict[str, list[Path_]] = {
     "chain": [(0,) * k for k in range(1, 5)],
     "cart45": cartesian_paths([4, 2, 2, 1]),
-    "sparse22": _SPARSE22,
-    "sparse35": _SPARSE35,
-    "sparse64": _SPARSE64,
     "searched": _SEARCHED,
 }
-
-# Budgets for the node-count sweep; 5 is the degenerate single-path tree.
-NODE_BUDGET_PRESETS = {5: "chain", 22: "sparse22", 35: "sparse35", 45: "cart45", 64: "sparse64"}
 
 
 @cache
@@ -187,6 +146,12 @@ def preset_topology(name: str) -> TreeTopology:
     if name not in PRESET_PATHS:
         raise TopologyError(f"unknown preset {name!r}; have {sorted(PRESET_PATHS)}")
     return TreeTopology.from_paths(PRESET_PATHS[name])
+
+
+@cache
+def chain_topology(depth: int) -> TreeTopology:
+    """The single path of ``depth`` first choices, built once per depth."""
+    return TreeTopology.from_paths([(0,) * k for k in range(1, depth + 1)])
 
 
 @cache
@@ -325,7 +290,7 @@ def sample_chain_tree(
     deterministic proposal and would bias the accepted distribution)."""
     rows = draft.d_logits.data if isinstance(draft.d_logits, Tensor) else np.asarray(draft.d_logits)
     dists = stable_softmax(rows)
-    topology = TreeTopology.from_paths([(0,) * k for k in range(1, depth + 1)])
+    topology = chain_topology(depth)
     tokens = np.zeros(depth + 1, dtype=np.int64)
     probs = np.ones(depth + 1, dtype=np.float64)
     tokens[0] = last_token

@@ -225,13 +225,12 @@ def train(
     model: TargetModel,
     drafter: Drafter,
     config: TrainConfig,
-    held_out_frac: float = 0.1,
 ) -> TrainReport:
     """Train the drafter with the dual objective; the target stays frozen."""
     if any(p.requires_grad for p in model.parameters()):
         raise TrainingError("target model must be frozen before drafter training")
     sequences = corpus.sequences if hasattr(corpus, "sequences") else list(corpus)
-    train_seqs, held_seqs = split_corpus(sequences, held_out_frac)
+    train_seqs, held_seqs = split_corpus(sequences)
     tokens_all = _as_token_matrix(train_seqs)
     n = tokens_all.shape[0]
     weights = LossWeights(config.lambda1, config.lambda2)
@@ -293,29 +292,19 @@ def drafter_position_logits(model: TargetModel, drafter: Drafter, tokens: np.nda
 def measure_head_accuracy(
     sequences,
     model: TargetModel,
-    drafter,
+    drafter: Drafter,
     top_ns: tuple[int, ...] = (1, 5),
-    logits_fn=None,
 ) -> tuple[list[float], ...]:
     """Per-head top-n accuracy: head k is correct@n at position t iff the true
-    token at t+1+k ranks in its top n. Returns one list per requested n.
-
-    ``logits_fn(model, tokens) -> [T-1, K, V]`` overrides the real drafter
-    forward (used by reference/oracle probes).
-    """
+    token at t+1+k ranks in its top n. Returns one list per requested n."""
     sequences = sequences.sequences if hasattr(sequences, "sequences") else sequences
-    if logits_fn is None:
-        logits_fn = lambda m, toks: drafter_position_logits(m, drafter, toks)
-    k_heads = drafter.config.K if hasattr(drafter, "config") else None
     hits: np.ndarray | None = None
     total = 0
     for seq in sequences:
         tokens = np.asarray(seq, dtype=np.int64)
         t = len(tokens)
-        d_logits = logits_fn(model, tokens)
+        d_logits = drafter_position_logits(model, drafter, tokens)
         k = d_logits.shape[1]
-        if k_heads is None:
-            k_heads = k
         t_valid = t - k - 1
         if t_valid < 1:
             raise TrainingError(f"sequence of length {t} is shorter than K+2={k + 2} tokens")

@@ -24,6 +24,22 @@ def make_tiny_drafter(model: TargetModel, seed: int = 1, **cfg_kwargs) -> Drafte
     return Drafter(config, model, np.random.default_rng(seed))
 
 
+def random_tree_paths(rng: np.random.Generator, n_nodes: int, max_depth: int) -> list[tuple[int, ...]]:
+    """A random prefix-closed tree of ``n_nodes`` nodes, root included, whose
+    paths are at most ``max_depth`` long; each node grows under a uniformly
+    drawn earlier node, and siblings are numbered from 0."""
+    paths: list[tuple[int, ...]] = []
+    frontier: list[tuple[int, ...]] = [()]
+    while len(paths) < n_nodes - 1:
+        parent = frontier[int(rng.integers(len(frontier)))]
+        if len(parent) >= max_depth:
+            continue
+        child = parent + (sum(1 for p in paths if p[:-1] == parent),)
+        paths.append(child)
+        frontier.append(child)
+    return paths
+
+
 def longest_matched_prefix(paths, ranks) -> int:
     """How many tokens a greedy round of the tree accepts on a rank vector."""
     paths = set(paths)

@@ -1,9 +1,10 @@
-"""Harness: tokenizer, decoding-loop metrics, head accuracy, ablation, sweep."""
+"""Harness: tokenizer, decoding-loop metrics, head accuracy, ablation, tree attention."""
 
 import numpy as np
 import pytest
 
 from amphista import tensor as T
+from amphista import training
 from amphista.bench import (
     CALIBRATION_PROMPTS,
     CALIBRATION_STREAM,
@@ -118,7 +119,7 @@ class TestDecodingLoops:
         model = make_tiny_model(seed=3)
         drafter = make_tiny_drafter(model, seed=4)
         prompt = [5, 6, 7]
-        topo = preset_topology("sparse22")
+        topo = preset_topology("searched")
         max_new = 24
 
         res = speculative_generate(
@@ -201,12 +202,12 @@ class TestDecodingLoops:
     def test_calibration_predicts_its_own_topology_exactly(self):
         model = make_tiny_model(seed=6)
         drafter = make_tiny_drafter(model, seed=7)
-        run = RunConfig(mode="amphista", topology="sparse22", max_new_tokens=30)
+        run = RunConfig(mode="amphista", topology="cart45", max_new_tokens=30)
         prompts = [[1, 2, 3], [4, 5, 6, 7], [8, 9]]
         cal = calibrate(model, drafter, run, prompts)
         report, _ = run_prompt_set(model, drafter, run, prompts)
         assert cal.tokens_per_step == report.tokens_per_step
-        paths = preset_topology("sparse22").paths
+        paths = preset_topology("cart45").paths
         assert predicted_tokens_per_step(paths, cal.rank_vectors) == pytest.approx(
             cal.tokens_per_step, abs=1e-12
         )
@@ -225,6 +226,23 @@ class TestDecodingLoops:
         rep_a, _ = run_prompt_set(model, drafter, run_a, prompts)
         rep_b, _ = run_prompt_set(model, drafter, run_b, prompts)
         assert rep_a.tokens_per_step == rep_b.tokens_per_step
+
+    def test_vanilla_chain_follows_the_drafter_depth(self):
+        model = make_tiny_model(seed=5)
+        drafter = make_tiny_drafter(model, seed=6, K=3)
+        run = RunConfig(mode="vanilla_chain", max_new_tokens=16)
+        report, results = run_prompt_set(model, drafter, run, [[1, 2, 3], [4, 5, 6]])
+        assert report.lossless is True
+        assert {e.nodes for r in results for e in r.events} == {4}
+
+    def test_topology_deeper_than_the_drafter_rejected_before_prefill(self, monkeypatch):
+        model = make_tiny_model(seed=5)
+        session = DrafterSession(make_tiny_drafter(model, seed=6, K=3))
+        calls = []
+        monkeypatch.setattr(model, "forward", lambda *a, **k: calls.append(a))
+        with pytest.raises(EngineError, match="depth 4 != drafter depth 3"):
+            speculative_generate(model, session, [1, 2, 3], preset_topology("cart45"), 10)
+        assert calls == []
 
     def test_typical_rule_runs_and_terminates(self):
         model = make_tiny_model(seed=7)
@@ -269,7 +287,7 @@ class TestEventLog:
 
 
 class TestHeadAccuracyHarness:
-    def test_oracle_hook_scores_100_percent(self):
+    def test_oracle_hook_scores_100_percent(self, monkeypatch):
         """On sequences the target itself generated greedily, a probe that reads
         the target's own logits is perfect at every head."""
         model = make_tiny_model(seed=15)
@@ -278,7 +296,7 @@ class TestHeadAccuracyHarness:
             res = ar_generate(model, start, max_new_tokens=18)
             seqs.append(start + res.tokens)
 
-        def oracle_logits(m, tokens):
+        def oracle_logits(m, _drafter, tokens):
             # head k (0-indexed) predicts position t+k+2, whose target logits
             # sit at position t+k+1 of a teacher-forced forward
             with T.no_grad():
@@ -289,28 +307,28 @@ class TestHeadAccuracyHarness:
             )
             return rows
 
-        drafter = make_tiny_drafter(model)
-        top1, top5 = measure_head_accuracy(seqs, model, drafter, logits_fn=oracle_logits)
+        monkeypatch.setattr(training, "drafter_position_logits", oracle_logits)
+        top1, top5 = measure_head_accuracy(seqs, model, make_tiny_drafter(model))
         assert top1 == [1.0, 1.0, 1.0, 1.0]
         assert top5 == [1.0, 1.0, 1.0, 1.0]
 
-    def test_uniform_random_drafter_sits_at_chance(self):
+    def test_uniform_random_drafter_sits_at_chance(self, monkeypatch):
         """Uniform guessing over a 32-symbol vocabulary: top-1 accuracy within
         a 3-sigma binomial band of 1/32 over >= 10^4 positions."""
         spec = CorpusSpec(vocab=32, n_sequences=200, seq_len=64)
         corpus = make_corpus(spec, seed=21)
         rng = np.random.default_rng(77)
 
-        def random_logits(_model, tokens):
+        def random_logits(_model, _drafter, tokens):
             t = len(tokens)
             rows = np.full((t - 1, 4, 256), -1e9)
             rows[:, :, 64 : 64 + 32] = rng.standard_normal((t - 1, 4, 32))
             return rows
 
-        model = make_tiny_model()  # untouched by the fake logits_fn
-        drafter = make_tiny_drafter(model)
+        monkeypatch.setattr(training, "drafter_position_logits", random_logits)
+        model = make_tiny_model()  # untouched by the fake drafter logits
         (top1,) = measure_head_accuracy(
-            corpus.sequences, model, drafter, top_ns=(1,), logits_fn=random_logits
+            corpus.sequences, model, make_tiny_drafter(model), top_ns=(1,)
         )
         positions = 200 * (64 - 5)
         sigma = np.sqrt((1 / 32) * (31 / 32) / positions)
@@ -380,5 +398,5 @@ class TestTreeAttentionProbe:
         rng = np.random.default_rng(20)
         for _ in range(5):
             prompt = list(rng.integers(0, 24, size=4))
-            diff = tree_attention_max_diff(model, prompt, preset_topology("sparse22"), rng)
+            diff = tree_attention_max_diff(model, prompt, preset_topology("cart45"), rng)
             assert diff <= 1e-5

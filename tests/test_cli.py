@@ -5,7 +5,9 @@ import csv
 
 import pytest
 
-from amphista import bench
+from amphista import bench, cli
+from amphista.bench import LosslessnessError
+from amphista.checkpoint import CheckpointError
 from amphista.cli import _build_configs, _build_system, main
 from amphista.engine import DrafterSession, ar_generate, speculative_generate
 from amphista.speculation import load_topology
@@ -89,14 +91,31 @@ class TestCommands:
         assert [r["mode"] for r in rows] == ["ar", "amphista"]
         assert all(float(r["tokens_per_sec"]) > 0 for r in rows)
 
-    def test_node_sweep_with_ckpt(self, tiny_cfg, trained_dir, tmp_path):
+    def test_checkpoint_of_another_mode_rejected_before_decoding(
+        self, tiny_cfg, trained_dir, tmp_path, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "run_prompt_set", lambda *a, **k: calls.append(a))
+        with pytest.raises(CheckpointError, match=r"drafter\.encoder"):
+            main(
+                ["bench", "--config", tiny_cfg, "--seed", "1", "--out", str(tmp_path),
+                 "--ckpt", str(trained_dir / "checkpoint.bin"), "--mode", "medusa"]
+            )
+        assert calls == []
+
+    def test_losslessness_violation_exits_nonzero(
+        self, tiny_cfg, trained_dir, tmp_path, monkeypatch, capsys
+    ):
+        def diverge(*args, **kwargs):
+            raise LosslessnessError("greedy amphista run diverged from AR decoding on prompt 0")
+
+        monkeypatch.setattr(cli, "run_prompt_set", diverge)
         rc = main(
-            ["node-sweep", "--config", tiny_cfg, "--seed", "1", "--out", str(tmp_path),
-             "--ckpt", str(trained_dir / "checkpoint.bin"), "--budgets", "5,22"]
+            ["generate", "--config", tiny_cfg, "--seed", "1", "--out", str(tmp_path),
+             "--ckpt", str(trained_dir / "checkpoint.bin")]
         )
-        assert rc == 0
-        lines = (tmp_path / "node_sweep.csv").read_text().splitlines()
-        assert len(lines) == 3
+        assert rc == 1
+        assert "LOSSLESSNESS VIOLATION: greedy amphista run diverged" in capsys.readouterr().err
 
     def test_tree_search_writes_a_lossless_topology(self, tiny_cfg, trained_dir, tmp_path):
         ckpt = str(trained_dir / "checkpoint.bin")

@@ -70,7 +70,7 @@ class TestForward:
         hidden, logits = uncached(model, prompt + chain_tokens)
         assert_parity(tout, hidden[3:], logits[3:])
 
-    @pytest.mark.parametrize("preset", ["sparse22", "cart45", "searched"])
+    @pytest.mark.parametrize("preset", ["cart45", "searched"])
     def test_tree_mask_matches_tape_forward(self, preset):
         """Each tree node's hidden state and logits equal the taped forward
         over the prompt followed by that node's root-to-node path."""
@@ -240,7 +240,7 @@ class TestCacheSurgery:
         model = make_tiny_model()
         rng = np.random.default_rng(7)
         prompt = [1, 2, 3, 4]
-        topo = preset_topology("sparse22")
+        topo = preset_topology("searched")
         tokens = rng.integers(0, 24, size=topo.node_count)
 
         cache = model.new_cache()

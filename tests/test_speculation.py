@@ -9,13 +9,13 @@ from amphista import tensor as T
 from amphista.drafter import DraftOutput
 from amphista.model import sample
 from amphista.speculation import (
-    NODE_BUDGET_PRESETS,
     DraftTree,
     TopologyError,
     TreeTopology,
     VerifyResult,
     build_mask,
     chain_accept_step,
+    chain_topology,
     PRESET_PATHS,
     commit,
     expand_tree,
@@ -31,7 +31,7 @@ from amphista.speculation import (
 )
 from amphista.tensor import Tensor
 
-from conftest import make_tiny_model, predicted_tokens_per_step
+from conftest import make_tiny_model, predicted_tokens_per_step, random_tree_paths
 
 
 def fake_draft_output(topk, vocab=24):
@@ -111,7 +111,7 @@ class TestTopology:
             TreeTopology.from_paths([(0,), (0, 1, 0)])
 
     def test_file_round_trip(self, tmp_path):
-        topo = preset_topology("sparse22")
+        topo = preset_topology("searched")
         path = tmp_path / "tree.txt"
         path.write_text(format_topology(topo))
         back = load_topology(path)
@@ -119,10 +119,10 @@ class TestTopology:
 
     def test_topology_file_is_resolved_once(self, tmp_path):
         path = tmp_path / "tree.txt"
-        path.write_text(format_topology(preset_topology("sparse22")))
+        path.write_text(format_topology(preset_topology("searched")))
         first = resolve_topology(str(path))
         assert resolve_topology(str(path)) is first
-        assert first == preset_topology("sparse22") and not first.mask.flags.writeable
+        assert first == preset_topology("searched") and not first.mask.flags.writeable
 
     def test_parse_validates_closure(self):
         with pytest.raises(TopologyError):
@@ -133,11 +133,17 @@ class TestTopology:
         assert topo.paths == ((0,), (0, 1), (0, 1, 0))
 
     def test_preset_node_counts(self):
-        for budget, preset in NODE_BUDGET_PRESETS.items():
-            assert preset_topology(preset).node_count == budget
+        assert set(PRESET_PATHS) == {"chain", "cart45", "searched"}
+        assert preset_topology("chain").node_count == 5
         assert preset_topology("cart45").node_count == 1 + 4 + 8 + 16 + 16 == 45
-        for name in ("sparse22", "sparse35", "sparse64"):
+        assert preset_topology("searched").node_count == 8
+        for name in PRESET_PATHS:
             assert preset_topology(name).depth_max == 4
+
+    def test_chain_topology_is_built_once_per_depth(self):
+        assert chain_topology(4) is chain_topology(4)
+        assert chain_topology(4) == preset_topology("chain")
+        assert chain_topology(3).paths == ((0,), (0, 0), (0, 0, 0))
 
 
 class TestExpandTree:
@@ -399,7 +405,7 @@ class TestMaskForwardCoherence:
         model = make_tiny_model(seed=seed)
         rng = np.random.default_rng(seed)
         prompt = list(rng.integers(0, 24, size=5))
-        topo = preset_topology("sparse22")  # 22 nodes <= 20 non-root
+        topo = preset_topology("cart45")
         tokens = rng.integers(0, 24, size=topo.node_count)
         tokens[0] = int(rng.integers(0, 24))
         tree = DraftTree(topo, tokens, np.ones(topo.node_count), build_mask(topo))
@@ -483,6 +489,18 @@ class TestTreeSearch:
             assert predicted_tokens_per_step(paths, rank_vectors) <= (
                 by_nodes[n].tokens_per_step + 1e-12
             ), name
+
+    def test_no_random_tree_beats_the_search_at_its_node_count(self):
+        rank_vectors = random_rank_vectors(3)
+        by_nodes = {c.topology.node_count: c for c in greedy_trees(rank_vectors, 4)}
+        rng = np.random.default_rng(5)
+        for n in range(5, 65):
+            paths = random_tree_paths(rng, n, max_depth=4)
+            while max(map(len, paths)) < 4:
+                paths = random_tree_paths(rng, n, max_depth=4)
+            assert predicted_tokens_per_step(paths, rank_vectors) <= (
+                by_nodes[n].tokens_per_step + 1e-12
+            ), paths
 
     def test_search_maximises_tokens_per_second(self):
         rank_vectors = random_rank_vectors(4)
