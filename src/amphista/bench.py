@@ -41,7 +41,15 @@ from .speculation import (
     search_topology,
     verify,
 )
-from .training import TrainConfig, measure_head_accuracy, train, train_target
+from .training import (
+    TrainConfig,
+    TrainingError,
+    measure_greedy_top1,
+    measure_head_accuracy,
+    split_corpus,
+    train,
+    train_target,
+)
 
 # Accepted-length figures reported for these variants at full scale
 # (7B target, MT-Bench); carried in the ablation CSV for orientation only.
@@ -144,6 +152,33 @@ def train_drafter(
     return drafter, report
 
 
+def greedy_continuations(
+    model: TargetModel, sequences: list[list[int]], prompt_len: int
+) -> list[list[int]]:
+    """Each sequence's first ``prompt_len`` tokens, continued by ``model``'s
+    greedy decoding to the sequence's length: text as decoding meets it."""
+    out = []
+    for seq in sequences:
+        if not 0 < prompt_len < len(seq):
+            raise TrainingError(
+                f"prompt_len {prompt_len} leaves nothing to continue in a "
+                f"sequence of {len(seq)} tokens"
+            )
+        prompt = list(seq[:prompt_len])
+        out.append(prompt + ar_generate(model, prompt, len(seq) - prompt_len).tokens)
+    return out
+
+
+def distill_corpus(model: TargetModel, corpus, prompt_len: int) -> list[list[int]]:
+    """The drafter's training data (Medusa-2 self-distillation): the training
+    split becomes ``greedy_continuations``, the text the heads are scored
+    against when decoding. The held-out split, on which ``train`` evaluates,
+    stays corpus text."""
+    sequences = corpus.sequences if hasattr(corpus, "sequences") else list(corpus)
+    train_seqs, held_seqs = split_corpus(sequences)
+    return greedy_continuations(model, train_seqs, prompt_len) + held_seqs
+
+
 def train_system(
     model_config: ModelConfig,
     drafter_config: DrafterConfig,
@@ -151,12 +186,17 @@ def train_system(
     corpus,
     seed: int,
     target_epochs: int = 8,
+    prompt_len: int = RunConfig.prompt_len,
 ):
-    """Pretrain the target and train the drafter; both come back in f64."""
+    """Pretrain the target, then train the drafter on the target's own greedy
+    continuations (``distill_corpus``); both come back in f64."""
     model32, model, target_report = pretrain_target(
         model_config, train_config, corpus, seed, target_epochs
     )
-    drafter, report = train_drafter(drafter_config, train_config, corpus, model32, model, seed)
+    drafter_corpus = distill_corpus(model, corpus, prompt_len)
+    drafter, report = train_drafter(
+        drafter_config, train_config, drafter_corpus, model32, model, seed
+    )
     return model, drafter, report, target_report
 
 
@@ -338,11 +378,11 @@ TIMING_REPS = 20
 
 
 class RecordingSession:
-    """Passes a drafter session's drafts through and keeps each round's top-k lists."""
+    """Passes a drafter session's drafts through and keeps each round's top-k order."""
 
     def __init__(self, session: DrafterSession):
         self.session = session
-        self.topk: list[list[list[tuple[int, float]]]] = []
+        self.orders: list[np.ndarray] = []
 
     @property
     def depth(self) -> int:
@@ -350,19 +390,19 @@ class RecordingSession:
 
     def draft(self, h_t: np.ndarray, last_token: int, model_cache):
         out = self.session.draft(h_t, last_token, model_cache)
-        self.topk.append(out.topk)
+        self.orders.append(out.order)
         return out
 
 
-def rank_vector(topk, following: list[int]) -> tuple[int, ...]:
-    """Per head, the rank of the greedy token in its top-k list, up to the
-    first head whose list misses it."""
+def rank_vector(order: np.ndarray, following: list[int]) -> tuple[int, ...]:
+    """Per head, the rank of the greedy token in its top-k order (a
+    ``DraftOutput.order``), up to the first head whose top-k misses it."""
     ranks = []
-    for head, token in zip(topk, following):
-        tokens = [t for t, _ in head]
-        if token not in tokens:
+    for row, token in zip(order, following):
+        hit = np.flatnonzero(row == token)
+        if not hit.size:
             break
-        ranks.append(tokens.index(token))
+        ranks.append(int(hit[0]))
     return tuple(ranks)
 
 
@@ -394,11 +434,11 @@ def calibrate(
         res = speculative_generate(model, session, prompt, topology, run.max_new_tokens)
         if res.tokens != reference[: run.max_new_tokens]:
             raise LosslessnessError(f"calibration decode diverged from AR on prompt {i}")
-        if len(session.topk) != res.steps:
+        if len(session.orders) != res.steps:
             raise ValueError(f"calibration prompt {i} ran into the context window")
         emitted = 1  # the prefill's token is the first round's root
-        for topk, event in zip(session.topk, res.events):
-            rank_vectors.append(rank_vector(topk, reference[emitted : emitted + k]))
+        for order, event in zip(session.orders, res.events):
+            rank_vectors.append(rank_vector(order, reference[emitted : emitted + k]))
             emitted += event.accepted_len + 1
         emitted_total += emitted - 1
         contexts.append(prompt + reference[: run.max_new_tokens // 2])
@@ -541,9 +581,10 @@ def run_ablation_suite(
     ablation: AblationConfig,
 ) -> list[AblationRow]:
     """Train every variant under an identical budget per seed and compare
-    accepted length. The target model is trained once per seed and shared by
-    all variants; the AR baseline (losslessness reference and timing anchor)
-    is likewise computed once per seed."""
+    accepted length. The target model, and the distilled corpus its drafters
+    train on, are built once per seed and shared by all variants; the AR
+    baseline (losslessness reference and timing anchor) is likewise computed
+    once per seed."""
     rows = {name: AblationRow(name, {}, {}) for name in VARIANT_NAMES}
     for seed in ablation.seeds:
         corpus = make_corpus(corpus_spec, seed)
@@ -551,6 +592,7 @@ def run_ablation_suite(
         model32, model, _ = pretrain_target(
             model_config, train_config, corpus, seed, ablation.target_epochs
         )
+        drafter_corpus = distill_corpus(model, corpus, ablation.prompt_len)
 
         run_ar = RunConfig(mode="ar", max_new_tokens=ablation.max_new_tokens, seed=seed)
         _, ar_results = run_prompt_set(model, None, run_ar, prompts)
@@ -558,7 +600,12 @@ def run_ablation_suite(
 
         for name in VARIANT_NAMES:
             drafter, _ = train_drafter(
-                variant_config(name, drafter_config), train_config, corpus, model32, model, seed
+                variant_config(name, drafter_config),
+                train_config,
+                drafter_corpus,
+                model32,
+                model,
+                seed,
             )
             run = RunConfig(
                 mode=name,
@@ -613,14 +660,26 @@ def write_ablation_timing_csv(path: str | Path, rows: list[AblationRow]) -> None
 
 
 def write_head_accuracy_csv(
-    path: str | Path, model: TargetModel, drafter: Drafter, sequences, top_ns=(1, 5)
+    path: str | Path,
+    model: TargetModel,
+    drafter: Drafter,
+    sequences: list[list[int]],
+    prompt_len: int,
+    top_ns=(1, 5),
 ) -> tuple[list[float], ...]:
+    """Per head: top-n accuracy against the corpus tokens of ``sequences``,
+    then ``greedy_top1``, agreement with the target's greedy token
+    (``measure_greedy_top1``) on the target's ``greedy_continuations`` of
+    their prompts, the text that decoding drafts on. Returns the per-n tables
+    followed by the greedy one."""
     tables = measure_head_accuracy(sequences, model, drafter, top_ns=top_ns)
+    decoded = greedy_continuations(model, sequences, prompt_len)
+    tables += (measure_greedy_top1(decoded, model, drafter),)
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["head"] + [f"top{n}" for n in top_ns])
+        w.writerow(["head"] + [f"top{n}" for n in top_ns] + ["greedy_top1"])
         for k in range(len(tables[0])):
-            w.writerow([k + 1] + [f"{tables[ni][k]:.6f}" for ni in range(len(top_ns))])
+            w.writerow([k + 1] + [f"{table[k]:.6f}" for table in tables])
     return tables
 
 

@@ -43,8 +43,9 @@ from .configfile import ConfigError, coerce_dataclass, dump_config, load_config
 from .corpus import CorpusSpec, detokenize, make_corpus, make_prompts, tokenize
 from .drafter import DrafterConfig, variant_config
 from .model import ModelConfig
-from .speculation import format_topology
-from .training import TrainConfig
+from .engine import EngineError
+from .speculation import TopologyError, format_topology
+from .training import TrainConfig, split_corpus
 
 
 # The config classes that read keys, by key prefix; ``cmd_train`` also reads
@@ -102,21 +103,35 @@ def _variant_for_mode(mode: str, base: DrafterConfig) -> DrafterConfig:
 
 
 def _build_system(args, model_cfg, drafter_cfg, run_cfg):
+    """The f64 target and the drafter that ``--mode`` decodes with; ``ar`` and
+    ``oracle`` decode without one, so they get None and load only the
+    checkpoint's ``target.`` keys."""
     model = build_model(model_cfg, run_cfg.seed)
     model.freeze()
-    drafter = build_drafter(_variant_for_mode(run_cfg.mode, drafter_cfg), model, run_cfg.seed)
+    drafter = None
+    if run_cfg.mode not in ("ar", "oracle"):
+        drafter = build_drafter(_variant_for_mode(run_cfg.mode, drafter_cfg), model, run_cfg.seed)
     if args.ckpt:
         state = load_checkpoint(args.ckpt)
+        keys = set(state)
         known = {name for name, _ in model.named_parameters("target.")}
-        known |= {name for name, _ in drafter.named_parameters("drafter.")}
-        stray = sorted(set(state) - known)
-        if stray:
+        if drafter is None:
+            keys = {k for k in keys if not k.startswith("drafter.")}
+        else:
+            known |= {name for name, _ in drafter.named_parameters("drafter.")}
+        stray, missing = sorted(keys - known), sorted(known - keys)
+        if stray or missing:
+            what = (
+                f"a --mode {run_cfg.mode} system has no parameter(s) {', '.join(stray)}"
+                if stray
+                else f"it lacks the --mode {run_cfg.mode} parameter(s) {', '.join(missing)}"
+            )
             raise CheckpointError(
-                f"{args.ckpt}: a --mode {run_cfg.mode} system has no parameter(s) "
-                f"{', '.join(stray)}; was the checkpoint trained for another mode?"
+                f"{args.ckpt}: {what}; was the checkpoint trained for another mode?"
             )
         model.load_state_dict(state, prefix="target.")
-        drafter.load_state_dict(state, prefix="drafter.")
+        if drafter is not None:
+            drafter.load_state_dict(state, prefix="drafter.")
     return model, drafter
 
 
@@ -134,6 +149,7 @@ def cmd_train(args) -> int:
         corpus,
         seed,
         target_epochs=target_epochs,
+        prompt_len=run_cfg.prompt_len,
     )
 
     state = model.state_dict(prefix="target.")
@@ -264,10 +280,18 @@ def cmd_head_acc(args) -> int:
     _, model_cfg, drafter_cfg, _, corpus_spec, run_cfg = _build_configs(args)
     out = _outdir(args)
     model, drafter = _build_system(args, model_cfg, drafter_cfg, run_cfg)
-    eval_corpus = make_corpus(corpus_spec, run_cfg.seed + 7919, name="eval")
-    tables = write_head_accuracy_csv(out / "head_accuracy.csv", model, drafter, eval_corpus)
+    if drafter is None:
+        raise ConfigError(f"head-acc measures a drafter, and --mode {run_cfg.mode} has none")
+    # the held-out split that drafter training evaluates on
+    held_out = split_corpus(make_corpus(corpus_spec, run_cfg.seed).sequences)[1]
+    tables = write_head_accuracy_csv(
+        out / "head_accuracy.csv", model, drafter, held_out, run_cfg.prompt_len
+    )
     for k in range(len(tables[0])):
-        print(f"  head {k + 1}: top-1 {tables[0][k]:.3f}  top-5 {tables[1][k]:.3f}")
+        print(
+            f"  head {k + 1}: top-1 {tables[0][k]:.3f}  top-5 {tables[1][k]:.3f}  "
+            f"greedy top-1 {tables[2][k]:.3f}"
+        )
     print(f"wrote {out / 'head_accuracy.csv'}")
     return 0
 
@@ -320,7 +344,7 @@ def main(argv=None) -> int:
     _add_shared_flags(p)
     p.set_defaults(fn=cmd_ablate)
 
-    p = sub.add_parser("head-acc", help="per-head top-1/top-5 accuracy table")
+    p = sub.add_parser("head-acc", help="per-head top-1/top-5 and greedy top-1 accuracy table")
     _add_shared_flags(p)
     p.add_argument("--ckpt", help="checkpoint from `train`")
     p.set_defaults(fn=cmd_head_acc)
@@ -334,6 +358,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except LosslessnessError as err:
         print(f"LOSSLESSNESS VIOLATION: {err}", file=sys.stderr)
+        return 1
+    except (ConfigError, CheckpointError, EngineError, TopologyError) as err:
+        print(f"error: {err}", file=sys.stderr)
         return 1
 
 

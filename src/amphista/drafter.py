@@ -59,19 +59,20 @@ class DrafterConfig:
 @dataclass
 class DraftOutput:
     d_logits: Tensor  # [K, V]
-    topk: list[list[tuple[int, float]]]  # per head, (token, prob) sorted by prob desc
+    probs: np.ndarray  # [K, V], softmax of d_logits
+    order: np.ndarray  # [K, k_max] int: head k's tokens by prob desc, -1 past its top-k
 
 
-def topk_lists(
-    d_logits: np.ndarray, sizes: tuple[int, ...]
-) -> list[list[tuple[int, float]]]:
-    """Per-head (token, probability) lists, descending, ties to lower tokens."""
+def topk_lists(d_logits: np.ndarray, sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-head probabilities [K, V] and top-k token order [K, k_max]:
+    one stable argsort, so ties go to the lower token; head k's row is -1
+    past its ``sizes[k]`` tokens."""
     probs = T.stable_softmax(d_logits)
-    out = []
-    for k, size in enumerate(sizes):
-        idx = np.argsort(-probs[k], kind="stable")[:size]
-        out.append([(int(i), float(probs[k, i])) for i in idx])
-    return out
+    k_max = min(max(sizes), probs.shape[-1])
+    order = np.argsort(-probs, axis=-1, kind="stable")[:, :k_max]
+    if min(sizes) < k_max:
+        order = np.where(np.arange(k_max) < np.asarray(sizes)[:, None], order, -1)
+    return probs, order
 
 
 class DraftState:
@@ -240,10 +241,8 @@ class Drafter(Module):
         d_logits = self.all_head_logits(attn_o)
         if not isinstance(d_logits, Tensor):
             d_logits = Tensor(d_logits)  # the one NaN/Inf check of a draft step
-        return DraftOutput(
-            d_logits=d_logits,
-            topk=topk_lists(d_logits.data, self.config.top_k_per_head),
-        )
+        probs, order = topk_lists(d_logits.data, self.config.top_k_per_head)
+        return DraftOutput(d_logits=d_logits, probs=probs, order=order)
 
     # -- composition ---------------------------------------------------------------------
 

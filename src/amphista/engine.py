@@ -97,7 +97,8 @@ class OracleDrafterSession:
         finally:
             model_cache.truncate(base)
         d_logits = np.stack(rows)
-        return DraftOutput(d_logits=Tensor(d_logits), topk=topk_lists(d_logits, (10,) * self.k))
+        probs, order = topk_lists(d_logits, (10,) * self.k)
+        return DraftOutput(d_logits=Tensor(d_logits), probs=probs, order=order)
 
 
 def _check_budget(model: TargetModel, prompt: list[int], max_new_tokens: int) -> None:

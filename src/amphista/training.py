@@ -321,6 +321,30 @@ def measure_head_accuracy(
     return tuple((hits[ni] / total).tolist() for ni in range(len(top_ns)))
 
 
+def measure_greedy_top1(
+    sequences: list[list[int]], model: TargetModel, drafter: Drafter
+) -> list[float]:
+    """Per-head agreement with the target: head k is right at position t iff
+    its top-1 is the target's teacher-forced argmax for position t+1+k, the
+    token greedy verification accepts there."""
+    hits, total = 0, 0
+    for seq in sequences:
+        tokens = np.asarray(seq, dtype=np.int64)
+        d_logits = drafter_position_logits(model, drafter, tokens)
+        with T.no_grad():
+            greedy = model.forward_batch(tokens[None, :]).logits.data[0].argmax(axis=-1)
+        k = d_logits.shape[1]
+        t_valid = len(tokens) - k - 1
+        if t_valid < 1:
+            raise TrainingError(
+                f"sequence of length {len(tokens)} is shorter than K+2={k + 2} tokens"
+            )
+        target = np.stack([greedy[1 + i : 1 + i + t_valid] for i in range(k)], axis=1)  # [T', K]
+        hits = hits + (d_logits[:t_valid].argmax(axis=-1) == target).sum(axis=0)
+        total += t_valid
+    return (hits / total).tolist()
+
+
 @dataclass
 class TargetTrainReport:
     losses: list[float] = field(default_factory=list)

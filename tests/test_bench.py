@@ -1,10 +1,12 @@
 """Harness: tokenizer, decoding-loop metrics, head accuracy, ablation, tree attention."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from amphista import bench, training
 from amphista import tensor as T
-from amphista import training
 from amphista.bench import (
     CALIBRATION_PROMPTS,
     CALIBRATION_STREAM,
@@ -14,6 +16,7 @@ from amphista.bench import (
     recompute_tokens_per_step,
     run_ablation_suite,
     run_prompt_set,
+    train_system,
     tree_attention_max_diff,
     write_ablation_csv,
     write_event_log,
@@ -37,7 +40,13 @@ from amphista.engine import (
 )
 from amphista.model import ModelConfig, sample
 from amphista.speculation import preset_topology
-from amphista.training import TrainConfig, measure_head_accuracy
+from amphista.training import (
+    TrainConfig,
+    TrainReport,
+    measure_greedy_top1,
+    measure_head_accuracy,
+    split_corpus,
+)
 from conftest import make_tiny_drafter, make_tiny_model, predicted_tokens_per_step
 
 
@@ -343,6 +352,24 @@ class TestHeadAccuracyHarness:
         assert all(b >= a for a, b in zip(top1, top5))
 
 
+    def test_greedy_top1_of_the_target_itself_is_one(self, monkeypatch):
+        """Heads that carry the target's own teacher-forced logits agree with
+        its greedy token at every head; against the corpus tokens they do not."""
+        model = make_tiny_model(seed=15)  # its argmax varies along the sequence
+        drafter = make_tiny_drafter(model)
+        tokens = np.random.default_rng(19).integers(0, 24, size=16)
+        with T.no_grad():
+            logits = model.forward_batch(tokens[None, :]).logits.data[0]
+        t = len(tokens)
+        rows = np.stack(
+            [np.stack([logits[min(t0 + k + 1, t - 1)] for k in range(4)]) for t0 in range(t - 1)]
+        )
+        monkeypatch.setattr(drafter, "sequence_logits", lambda hidden, next_tokens: T.Tensor(rows))
+        assert measure_greedy_top1([tokens], model, drafter) == [1.0, 1.0, 1.0, 1.0]
+        (top1,) = measure_head_accuracy([tokens], model, drafter, top_ns=(1,))
+        assert min(top1) < 1.0
+
+
 SMALL_MODEL = ModelConfig(vocab_size=256, hidden_dim=16, n_layers=1, n_heads=2, ffn_dim=32, max_seq_len=128)
 
 
@@ -390,6 +417,61 @@ class TestAblationHarness:
         text = path.read_text()
         assert "fullscale_ref_accepted_len" in text
         assert "3.50" in text and "2.52" in text
+
+
+    def test_distilled_corpus_is_built_once_per_seed(self, monkeypatch):
+        model_cfg, drafter_cfg, train_cfg, corpus_spec, ab = small_ablation_setup()
+        builds, corpora = [], []
+        real_distill, real_train_drafter = bench.distill_corpus, bench.train_drafter
+
+        def counting_distill(*args, **kwargs):
+            builds.append(real_distill(*args, **kwargs))
+            return builds[-1]
+
+        def recording_train_drafter(drafter_config, train_config, corpus, *args):
+            corpora.append(corpus)
+            return real_train_drafter(drafter_config, train_config, corpus, *args)
+
+        monkeypatch.setattr(bench, "distill_corpus", counting_distill)
+        monkeypatch.setattr(bench, "train_drafter", recording_train_drafter)
+        two_seeds = replace(ab, seeds=(0, 1))
+        run_ablation_suite(model_cfg, drafter_cfg, train_cfg, corpus_spec, two_seeds)
+        assert len(builds) == 2
+        assert len(corpora) == 14
+        assert all(c is builds[0] for c in corpora[:7])
+        assert all(c is builds[1] for c in corpora[7:])
+
+
+class TestSelfDistillation:
+    def test_train_system_trains_on_greedy_continuations(self, monkeypatch):
+        """The drafter's training split is each corpus sequence's first
+        prompt_len tokens plus the f64 target's greedy continuation; the
+        held-out split is corpus text, unchanged."""
+        model_cfg, drafter_cfg, train_cfg, corpus_spec, _ = small_ablation_setup()
+        corpus = make_corpus(corpus_spec, seed=4)
+        seen = []
+
+        def fake_train(corpus, model, drafter, config):
+            seen.append(corpus)
+            return TrainReport()
+
+        monkeypatch.setattr(bench, "train", fake_train)
+        model, _, _, _ = train_system(
+            model_cfg, drafter_cfg, train_cfg, corpus, seed=4, target_epochs=1, prompt_len=5
+        )
+        (handed,) = seen
+        train_seqs, held_seqs = split_corpus(corpus.sequences)
+        expected = [
+            seq[:5] + ar_generate(model, seq[:5], len(seq) - 5).tokens for seq in train_seqs
+        ]
+        assert handed == expected + held_seqs
+        assert split_corpus(handed)[1] == held_seqs
+        assert handed[: len(train_seqs)] != train_seqs  # the target does not write the corpus
+
+    def test_prompt_as_long_as_the_sequences_is_rejected(self):
+        model = make_tiny_model()
+        with pytest.raises(training.TrainingError, match="prompt_len"):
+            bench.distill_corpus(model, [[1] * 8 for _ in range(10)], prompt_len=8)
 
 
 class TestTreeAttentionProbe:

@@ -7,8 +7,9 @@ import pytest
 
 from amphista import bench, cli
 from amphista.bench import LosslessnessError
-from amphista.checkpoint import CheckpointError
+from amphista.checkpoint import CheckpointError, dump_state, load_checkpoint, save_checkpoint
 from amphista.cli import _build_configs, _build_system, main
+from amphista.drafter import variant_config
 from amphista.engine import DrafterSession, ar_generate, speculative_generate
 from amphista.speculation import load_topology
 
@@ -92,16 +93,19 @@ class TestCommands:
         assert all(float(r["tokens_per_sec"]) > 0 for r in rows)
 
     def test_checkpoint_of_another_mode_rejected_before_decoding(
-        self, tiny_cfg, trained_dir, tmp_path, monkeypatch
+        self, tiny_cfg, trained_dir, tmp_path, monkeypatch, capsys
     ):
         calls = []
         monkeypatch.setattr(cli, "run_prompt_set", lambda *a, **k: calls.append(a))
-        with pytest.raises(CheckpointError, match=r"drafter\.encoder"):
-            main(
-                ["bench", "--config", tiny_cfg, "--seed", "1", "--out", str(tmp_path),
-                 "--ckpt", str(trained_dir / "checkpoint.bin"), "--mode", "medusa"]
-            )
+        rc = main(
+            ["bench", "--config", tiny_cfg, "--seed", "1", "--out", str(tmp_path),
+             "--ckpt", str(trained_dir / "checkpoint.bin"), "--mode", "medusa"]
+        )
+        assert rc == 1
         assert calls == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "drafter.encoder" in err
+        assert "Traceback" not in err
 
     def test_losslessness_violation_exits_nonzero(
         self, tiny_cfg, trained_dir, tmp_path, monkeypatch, capsys
@@ -143,3 +147,89 @@ class TestCommands:
     def test_unknown_mode_rejected(self, tiny_cfg, tmp_path):
         with pytest.raises(ValueError, match="unknown mode"):
             main(["bench", "--config", tiny_cfg, "--out", str(tmp_path), "--mode", "warpdrive"])
+
+
+def _medusa_checkpoint(tiny_cfg, path):
+    """An untrained system whose drafter is the medusa variant, saved as
+    ``amphista train --mode medusa`` would save it; its weights come from a
+    seed that no test decodes with, so only a load reproduces them."""
+    args = argparse.Namespace(
+        config=tiny_cfg, seed=99, mode="medusa", temperature=None, topology=None
+    )
+    _, model_cfg, drafter_cfg, _, _, run_cfg = _build_configs(args)
+    model = bench.build_model(model_cfg, run_cfg.seed)
+    drafter = bench.build_drafter(variant_config("medusa", drafter_cfg), model, run_cfg.seed)
+    state = model.state_dict(prefix="target.")
+    state.update(drafter.state_dict(prefix="drafter."))
+    save_checkpoint(path, state)
+    return model
+
+
+class TestTargetOnlyModes:
+    @pytest.mark.parametrize("mode", ["ar", "oracle"])
+    def test_bench_loads_only_the_target_of_a_medusa_checkpoint(self, tiny_cfg, tmp_path, mode):
+        ckpt = tmp_path / "medusa.bin"
+        trained = _medusa_checkpoint(tiny_cfg, ckpt)
+        args = argparse.Namespace(
+            config=tiny_cfg, seed=1, mode=mode, temperature=None, topology=None, ckpt=str(ckpt)
+        )
+        _, model_cfg, drafter_cfg, _, _, run_cfg = _build_configs(args)
+        model, drafter = _build_system(args, model_cfg, drafter_cfg, run_cfg)
+        assert drafter is None
+        assert dump_state(model.state_dict()) == dump_state(trained.state_dict())
+        out = tmp_path / "out"
+        rc = main(
+            ["bench", "--config", tiny_cfg, "--seed", "1", "--out", str(out),
+             "--ckpt", str(ckpt), "--mode", mode]
+        )
+        assert rc == 0
+        assert f"{mode}," in (out / "bench.csv").read_text()
+
+    def test_stray_target_keys_still_rejected(self, tiny_cfg, tmp_path):
+        ckpt = tmp_path / "stray.bin"
+        _medusa_checkpoint(tiny_cfg, ckpt)
+        state = load_checkpoint(ckpt)
+        state["target.extra.weight"] = state["target.token_emb"]
+        save_checkpoint(ckpt, state)
+        args = argparse.Namespace(
+            config=tiny_cfg, seed=1, mode="ar", temperature=None, topology=None, ckpt=str(ckpt)
+        )
+        _, model_cfg, drafter_cfg, _, _, run_cfg = _build_configs(args)
+        with pytest.raises(CheckpointError, match=r"target\.extra\.weight"):
+            _build_system(args, model_cfg, drafter_cfg, run_cfg)
+
+
+class TestNamedErrors:
+    """A named error raised before any work exits 1 with one stderr line."""
+
+    def _one_line(self, capsys) -> str:
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        return err
+
+    def test_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("n_promts=3\n")
+        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "n_promts" in self._one_line(capsys)
+
+    def test_checkpoint_error(self, tiny_cfg, tmp_path, capsys):
+        ckpt = tmp_path / "medusa.bin"
+        _medusa_checkpoint(tiny_cfg, ckpt)
+        argv = ["bench", "--config", tiny_cfg, "--out", str(tmp_path), "--ckpt", str(ckpt)]
+        assert main(argv) == 1  # an amphista system lacks the medusa drafter's keys
+        assert "was the checkpoint trained for another mode" in self._one_line(capsys)
+
+    def test_engine_error(self, tiny_cfg, tmp_path, capsys):
+        argv = ["generate", "--config", tiny_cfg, "--out", str(tmp_path), "--prompt", "x" * 300]
+        assert main(argv) == 1
+        assert "exceeds the context window" in self._one_line(capsys)
+
+    def test_topology_error(self, tiny_cfg, tmp_path, capsys):
+        argv = ["generate", "--config", tiny_cfg, "--out", str(tmp_path), "--topology", "bushy"]
+        assert main(argv) == 1
+        assert "'bushy' is neither a preset nor an existing file" in self._one_line(capsys)
+
+    def test_head_acc_needs_a_drafter(self, tiny_cfg, tmp_path, capsys):
+        assert main(["head-acc", "--config", tiny_cfg, "--out", str(tmp_path), "--mode", "ar"]) == 1
+        assert "has none" in self._one_line(capsys)

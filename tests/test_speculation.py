@@ -35,13 +35,21 @@ from conftest import make_tiny_model, predicted_tokens_per_step, random_tree_pat
 
 
 def fake_draft_output(topk, vocab=24):
-    """DraftOutput whose logits are consistent with the given top-k lists."""
+    """DraftOutput whose logits, probabilities and top-k order follow the
+    given per-head (token, prob) lists; the mass the list leaves is spread
+    over the other tokens, and heads' lists may differ in length."""
     k = len(topk)
+    k_max = max(len(pairs) for pairs in topk)
     logits = np.full((k, vocab), -10.0)
+    probs = np.zeros((k, vocab))
+    order = np.full((k, k_max), -1)
     for head, pairs in enumerate(topk):
-        for rank, (tok, _prob) in enumerate(pairs):
+        probs[head] = (1.0 - sum(p for _, p in pairs)) / (vocab - len(pairs))
+        for rank, (tok, prob) in enumerate(pairs):
             logits[head, tok] = 5.0 - rank
-    return DraftOutput(d_logits=Tensor(logits), topk=topk)
+            probs[head, tok] = prob
+            order[head, rank] = tok
+    return DraftOutput(d_logits=Tensor(logits), probs=probs, order=order)
 
 
 def chain_tree(tokens, vocab=24, probs=None):
