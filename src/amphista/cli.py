@@ -41,7 +41,7 @@ from .bench import (
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .configfile import ConfigError, coerce_dataclass, dump_config, load_config
 from .corpus import CorpusSpec, detokenize, make_corpus, make_prompts, tokenize
-from .drafter import DrafterConfig, variant_config
+from .drafter import VARIANT_NAMES, DrafterConfig, variant_config
 from .model import ModelConfig
 from .engine import EngineError
 from .speculation import TopologyError, format_topology
@@ -232,6 +232,12 @@ def cmd_bench(args) -> int:
 
 def cmd_tree_search(args) -> int:
     _, model_cfg, drafter_cfg, _, corpus_spec, run_cfg = _build_configs(args)
+    if run_cfg.mode not in VARIANT_NAMES:
+        raise ConfigError(f"tree-search calibrates a drafter variant, not --mode {run_cfg.mode}")
+    if run_cfg.temperature != 0:
+        raise ConfigError(
+            f"tree-search calibrates greedily, not at --temperature {run_cfg.temperature:g}"
+        )
     out = _outdir(args)
     model, drafter = _build_system(args, model_cfg, drafter_cfg, run_cfg)
     prompts = make_prompts(

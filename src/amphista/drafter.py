@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .model import TargetModel
-from .nn import LayerKV, Linear, Module, RMSNorm, TransformerLayer, causal_mask_bias, silu
+from .nn import LayerKV, Linear, Module, RMSNorm, TransformerLayer, silu
 from .tensor import DimensionError, Parameter, Tensor
 
 ADAPTATION_MODES = ("staged", "one_layer", "none")
@@ -199,13 +199,12 @@ class Drafter(Module):
         if self.config.adaptation == "none":
             return h, h
         e = self._sampled_embedding(next_tokens)
-        bias = causal_mask_bias(h.shape[-2], h.data.dtype)
         x1 = self.fc1(T.concat([h, e], axis=-1))
-        h1 = self.sal1(x1, mask_bias=bias)
+        h1 = self.sal1(x1, causal=True)
         if self.config.adaptation == "one_layer":
             return h1, h1
         x2 = self.fc2(T.concat([h1, e], axis=-1))
-        return h1, self.sal2(x2, mask_bias=bias)
+        return h1, self.sal2(x2, causal=True)
 
     # -- stage 2: auto-embedding ---------------------------------------------------
 

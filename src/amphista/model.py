@@ -18,7 +18,6 @@ from .nn import (
     Parameter,
     RMSNorm,
     TransformerLayer,
-    causal_mask_bias,
     tree_mask_bias,
 )
 from .tensor import DimensionError, Tensor
@@ -120,7 +119,8 @@ class TargetModel(Module):
 
         Without a mask, attention is causal over cache + new tokens. With a
         (square, boolean) tree mask, new token i additionally attends to new
-        token j iff mask[i][j]; ``positions`` must then be supplied.
+        token j iff mask[i][j]; the mask must be lower-triangular (j <= i, as
+        ``build_mask`` makes it) and ``positions`` must then be supplied.
 
         Runs tape-free; ``hidden`` and ``logits`` are each wrapped in a
         ``Tensor`` once, which raises ``NonFiniteError`` on NaN or Inf.
@@ -139,6 +139,10 @@ class TargetModel(Module):
             mask = np.asarray(mask, dtype=bool)
             if mask.shape != (n, n):
                 raise DimensionError(f"mask shape {mask.shape} != ({n}, {n})")
+            if np.triu(mask, k=1).any():
+                raise DimensionError(
+                    "mask has an entry above the diagonal: a token may not attend to a later one"
+                )
             if positions is None:
                 raise DimensionError("tree-masked forward requires explicit positions")
         if positions is None:
@@ -149,15 +153,10 @@ class TargetModel(Module):
         if positions.max() >= self.config.max_seq_len:
             raise DimensionError("position id exceeds max_seq_len")
 
-        dt = self.token_emb.data.dtype
-        if mask is None:
-            bias = causal_mask_bias(n, dt) if n > 1 else None
-        else:
-            bias = tree_mask_bias(mask, dt)
-
+        bias = None if mask is None else tree_mask_bias(mask, self.token_emb.data.dtype)
         x = T.lookup(self.token_emb.data, tokens) + T.lookup(self.pos_emb.data, positions)
         for layer, kv in zip(self.layers, cache.layers):
-            x = layer(x, cache=kv, mask_bias=bias)
+            x = layer(x, cache=kv, mask_bias=bias, causal=mask is None)
         hidden = self.final_norm(x)
         return TargetOutput(hidden=Tensor(hidden), logits=Tensor(self.lm_head(hidden)))
 
@@ -170,10 +169,9 @@ class TargetModel(Module):
         if t > self.config.max_seq_len:
             raise DimensionError("sequence longer than max_seq_len")
         positions = np.arange(t)
-        bias = causal_mask_bias(t, self.token_emb.data.dtype)
         x = T.add(T.embedding(self.token_emb, tokens), T.embedding(self.pos_emb, positions))
         for layer in self.layers:
-            x = layer(x, mask_bias=bias)
+            x = layer(x, causal=True)
         hidden = self.final_norm(x)
         return TargetOutput(hidden=hidden, logits=self.lm_head(hidden))
 

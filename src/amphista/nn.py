@@ -9,12 +9,18 @@ for NaN or Inf itself: its callers wrap each forward's outputs in a
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import tensor as T
 from .tensor import DimensionError, Parameter, Tensor
 
 MASKED_SCORE = -1e9
+# Query rows per block of tape-free attention (see SelfAttention._attend).
+# Trees of up to 64 nodes and 1-token steps stay one block, computed exactly
+# as unblocked attention; 32 and 128 were timed too (README, "Precision").
+BLOCK = 64
 
 
 class Module:
@@ -120,8 +126,14 @@ def silu(x):
     if isinstance(x, Tensor):
         return T.silu(x)
     # T.silu's sigmoid bit for bit, with one exp: exp(min(x, 0)) is exp(-|x|) if x < 0, else 1
-    e = np.exp(-np.abs(x))
-    return x * (np.where(x < 0, e, 1.0) / (1.0 + e))
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x < 0, e, 1.0)
+    e += 1.0
+    out /= e
+    out *= x
+    return out
 
 
 class LayerKV:
@@ -188,9 +200,13 @@ def _merge_heads(x: Tensor) -> Tensor:
     return T.reshape(x, (*lead, t, h * dh))
 
 
+@lru_cache(maxsize=8)
 def causal_mask_bias(n: int, dtype) -> np.ndarray:
-    """Additive [n, n] mask over new tokens: token i sees new tokens j <= i."""
-    return np.triu(np.full((n, n), MASKED_SCORE, dtype=dtype), k=1)
+    """Additive [n, n] mask over new tokens: token i sees new tokens j <= i.
+    Memoized, so it is read-only: every caller shares one array."""
+    bias = np.triu(np.full((n, n), MASKED_SCORE, dtype=dtype), k=1)
+    bias.flags.writeable = False
+    return bias
 
 
 def tree_mask_bias(tree_mask: np.ndarray, dtype) -> np.ndarray:
@@ -201,8 +217,10 @@ def tree_mask_bias(tree_mask: np.ndarray, dtype) -> np.ndarray:
 class SelfAttention(Module):
     """Multi-head self-attention over [..., T, d].
 
-    ``mask_bias`` is an additive [T, T] mask over the new tokens' own keys;
-    keys already in ``cache`` (array input only) are visible to every query.
+    ``causal=True`` lets new token i see new tokens j <= i. In its place,
+    ``mask_bias`` is an additive [T, T] mask over the new tokens' own keys; on
+    the array path it must be lower-triangular (no new token sees a later one).
+    Keys already in ``cache`` (array input only) are visible to every query.
     """
 
     def __init__(self, dim: int, n_heads: int, rng: np.random.Generator):
@@ -215,11 +233,19 @@ class SelfAttention(Module):
         self._n_heads = n_heads
         self._scale = 1.0 / np.sqrt(dim // n_heads)
 
-    def __call__(self, x, cache: LayerKV | None = None, mask_bias: np.ndarray | None = None):
+    def __call__(
+        self,
+        x,
+        cache: LayerKV | None = None,
+        mask_bias: np.ndarray | None = None,
+        causal: bool = False,
+    ):
         if isinstance(x, np.ndarray):
-            return self._attend(x, cache, mask_bias)
+            return self._attend(x, cache, mask_bias, causal)
         if cache is not None:
             raise TypeError("cached attention takes an np.ndarray input, not a Tensor")
+        if causal:
+            mask_bias = causal_mask_bias(x.shape[-2], x.data.dtype)
         q = _split_heads(self.wq(x), self._n_heads)
         k = _split_heads(self.wk(x), self._n_heads)
         v = _split_heads(self.wv(x), self._n_heads)
@@ -233,7 +259,12 @@ class SelfAttention(Module):
         out = _merge_heads(T.matmul(probs, v))
         return self.wo(out)
 
-    def _attend(self, x: np.ndarray, cache: LayerKV | None, mask_bias) -> np.ndarray:
+    def _attend(self, x: np.ndarray, cache: LayerKV | None, mask_bias, causal) -> np.ndarray:
+        """Attention in blocks of ``BLOCK`` query rows. Under a mask, block
+        [s0, e) scores only keys [0, base + e): every later key is masked, so
+        skipping it drops only exact zeros from each softmax row. A causal
+        block adds just its diagonal [s0:e, s0:e] part of the mask; the rest
+        of its row is 0. With T <= BLOCK the loop runs once over every key."""
         *lead, t, d = x.shape
         split = (*lead, t, self._n_heads, d // self._n_heads)
         q, k, v = (proj(x).reshape(split) for proj in (self.wq, self.wk, self.wv))
@@ -243,14 +274,25 @@ class SelfAttention(Module):
             cache.extend(k, v)
             k, v = cache.k, cache.v
         q, k, v = (y.swapaxes(-3, -2) for y in (q, k, v))  # [..., H, T, dh]
-        scores = q @ k.swapaxes(-1, -2)
-        scores *= self._scale
-        if mask_bias is not None:
-            scores[..., -t:] += mask_bias
-        scores -= scores.max(axis=-1, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= scores.sum(axis=-1, keepdims=True)
-        return self.wo((scores @ v).swapaxes(-3, -2).reshape(*lead, t, d))
+        n_keys = k.shape[-2]
+        base = n_keys - t  # cached keys
+        diagonal = causal_mask_bias(BLOCK, x.dtype) if causal and t > 1 else None
+        blocks = []
+        for s0 in range(0, t, BLOCK):
+            e = min(s0 + BLOCK, t)
+            end = base + e if causal or mask_bias is not None else n_keys
+            scores = q[..., s0:e, :] @ k[..., :end, :].swapaxes(-1, -2)
+            scores *= self._scale
+            if diagonal is not None:
+                scores[..., base + s0 :] += diagonal[: e - s0, : e - s0]
+            elif mask_bias is not None:
+                scores[..., base:] += mask_bias[s0:e, :e]
+            scores -= scores.max(axis=-1, keepdims=True)
+            np.exp(scores, out=scores)
+            scores /= scores.sum(axis=-1, keepdims=True)
+            blocks.append(scores @ v[..., :end, :])
+        out = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-2)
+        return self.wo(out.swapaxes(-3, -2).reshape(*lead, t, d))
 
 
 class FeedForward(Module):
@@ -285,8 +327,14 @@ class TransformerLayer(Module):
         self.ffn = FeedForward(dim, ffn_dim, rng)
         self.out_norm = RMSNorm(dim, eps) if out_norm else None
 
-    def __call__(self, x, cache: LayerKV | None = None, mask_bias: np.ndarray | None = None):
-        h = x + self.attn(self.norm1(x), cache=cache, mask_bias=mask_bias)
+    def __call__(
+        self,
+        x,
+        cache: LayerKV | None = None,
+        mask_bias: np.ndarray | None = None,
+        causal: bool = False,
+    ):
+        h = x + self.attn(self.norm1(x), cache=cache, mask_bias=mask_bias, causal=causal)
         h = h + self.ffn(self.norm2(h))
         if self.out_norm is not None:
             h = self.out_norm(h)

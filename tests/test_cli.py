@@ -233,3 +233,23 @@ class TestNamedErrors:
     def test_head_acc_needs_a_drafter(self, tiny_cfg, tmp_path, capsys):
         assert main(["head-acc", "--config", tiny_cfg, "--out", str(tmp_path), "--mode", "ar"]) == 1
         assert "has none" in self._one_line(capsys)
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--mode", "ar"], "--mode ar"),
+            (["--mode", "oracle"], "--mode oracle"),
+            (["--temperature", "0.8"], "--temperature 0.8"),
+        ],
+    )
+    def test_tree_search_needs_greedy_drafter_before_building(
+        self, tiny_cfg, tmp_path, capsys, monkeypatch, flags, named
+    ):
+        def unreachable(*args):
+            raise AssertionError("_build_system ran")
+
+        monkeypatch.setattr(cli, "_build_system", unreachable)
+        argv = ["tree-search", "--config", tiny_cfg, "--out", str(tmp_path / "ts"), *flags]
+        assert main(argv) == 1
+        assert named in self._one_line(capsys)
+        assert not (tmp_path / "ts").exists()

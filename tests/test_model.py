@@ -3,17 +3,21 @@
 The cached ``forward`` runs tape-free; every parity check here compares it
 with the taped, cache-free ``forward_batch``."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from amphista import nn
 from amphista import tensor as T
 from amphista.model import ModelConfig, TargetModel, sample
+from amphista.nn import BLOCK
 from amphista.speculation import TreeTopology, build_mask, preset_topology
-from amphista.tensor import DimensionError, NonFiniteError
+from amphista.tensor import DimensionError, NonFiniteError, Tensor
 
-from conftest import TINY_MODEL, make_tiny_model
+from conftest import TINY_MODEL, make_tiny_model, random_tree_paths
 
 PARITY = 1e-12  # tape-free cached forward vs the taped forward_batch
 
@@ -70,14 +74,18 @@ class TestForward:
         hidden, logits = uncached(model, prompt + chain_tokens)
         assert_parity(tout, hidden[3:], logits[3:])
 
-    @pytest.mark.parametrize("preset", ["cart45", "searched"])
-    def test_tree_mask_matches_tape_forward(self, preset):
+    @pytest.mark.parametrize("tree", ["cart45", "searched", "random-wider-than-a-block"])
+    def test_tree_mask_matches_tape_forward(self, tree):
         """Each tree node's hidden state and logits equal the taped forward
-        over the prompt followed by that node's root-to-node path."""
+        over the prompt followed by that node's root-to-node path; a tree of
+        more than BLOCK nodes spans several query blocks."""
         model = make_tiny_model()
         rng = np.random.default_rng(2)
         prompt = list(rng.integers(0, 24, size=6))
-        topo = preset_topology(preset)
+        if tree.startswith("random"):
+            topo = TreeTopology.from_paths(random_tree_paths(rng, BLOCK + 10, max_depth=5))
+        else:
+            topo = preset_topology(tree)
         tokens = rng.integers(0, 24, size=topo.node_count)
         cache = model.new_cache()
         model.forward(prompt, cache)
@@ -123,6 +131,16 @@ class TestForward:
         with pytest.raises(DimensionError):
             model.forward([1, 2], cache, mask=mask, positions=[0, 1])
 
+    def test_mask_above_the_diagonal_rejected_before_any_work(self):
+        model = make_tiny_model()
+        cache = model.new_cache()
+        model.forward([1, 2, 3], cache)
+        mask = np.tril(np.ones((4, 4), dtype=bool))
+        mask[1, 2] = True  # node 1 would see the later node 2
+        with pytest.raises(DimensionError, match="above the diagonal"):
+            model.forward([4, 5, 6, 7], cache, mask=mask, positions=3 + np.arange(4))
+        assert cache.length == 3
+
     def test_determinism_bit_identical(self):
         a = uncached(make_tiny_model(seed=5), [1, 2, 3, 4])[1]
         b = uncached(make_tiny_model(seed=5), [1, 2, 3, 4])[1]
@@ -143,6 +161,41 @@ class TestForward:
             out = model.forward([1, 2, 3], model.new_cache())
             recomputed = T.matmul(out.hidden, model.lm_head.weight)
         assert np.array_equal(recomputed.data, out.logits.data)
+
+
+class TestBlockedAttention:
+    """The cached forward runs attention in blocks of BLOCK query rows; at
+    and across block boundaries it still matches the taped forward_batch."""
+
+    @pytest.mark.parametrize("prefix", [0, 30])
+    @pytest.mark.parametrize("t", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5])
+    def test_matches_tape_forward_at_block_boundaries(self, prefix, t):
+        model = make_tiny_model(config=replace(TINY_MODEL, max_seq_len=3 * BLOCK))
+        tokens = list(np.random.default_rng(t).integers(0, 24, size=prefix + t))
+        cache = model.new_cache()
+        if prefix:
+            model.forward(tokens[:prefix], cache)
+        out = model.forward(tokens[prefix:], cache)
+        hidden, logits = uncached(model, tokens)
+        assert_parity(out, hidden[prefix:], logits[prefix:])
+
+    def test_random_tree_masks_are_lower_triangular(self):
+        rng = np.random.default_rng(3)
+        for n in range(5, 65):
+            mask = build_mask(TreeTopology.from_paths(random_tree_paths(rng, n, max_depth=6)))
+            assert not np.triu(mask, k=1).any()
+
+
+class TestSilu:
+    @pytest.mark.parametrize("rows", [1, 8, 384])
+    def test_array_silu_is_the_taped_silu_bit_for_bit(self, rows):
+        x = np.random.default_rng(rows).standard_normal((rows, 256)) * 30.0
+        special = [0.0, -0.0, 1e3, -1e3, 5e-324, -5e-324, 1e-310, -1e-310, 745.0, -745.0,
+                   1e308, -1e308, 40.0, -40.0]
+        x.flat[: len(special)] = special
+        got, want = nn.silu(x), T.silu(Tensor(x)).data
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestSample:
