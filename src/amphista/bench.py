@@ -44,6 +44,7 @@ from .speculation import (
 from .training import (
     TrainConfig,
     TrainingError,
+    corpus_sequences,
     measure_greedy_top1,
     measure_head_accuracy,
     split_corpus,
@@ -79,14 +80,14 @@ class RunConfig:
     n_prompts: int = 8
     prompt_len: int = 12
     seed: int = 0
-    epsilon: float = 0.09
-    delta: float = 0.3
 
     def __post_init__(self):
         if self.mode != "ar" and self.mode not in SPECULATIVE_MODES:
             raise ValueError(
                 f"unknown mode {self.mode!r}; expected 'ar' or one of {SPECULATIVE_MODES}"
             )
+        if self.temperature < 0:
+            raise ValueError(f"temperature must be >= 0, got {self.temperature:g}")
 
 
 @dataclass
@@ -174,8 +175,7 @@ def distill_corpus(model: TargetModel, corpus, prompt_len: int) -> list[list[int
     split becomes ``greedy_continuations``, the text the heads are scored
     against when decoding. The held-out split, on which ``train`` evaluates,
     stays corpus text."""
-    sequences = corpus.sequences if hasattr(corpus, "sequences") else list(corpus)
-    train_seqs, held_seqs = split_corpus(sequences)
+    train_seqs, held_seqs = split_corpus(corpus_sequences(corpus))
     return greedy_continuations(model, train_seqs, prompt_len) + held_seqs
 
 
@@ -229,10 +229,8 @@ def run_prompt(
         if drafter is None:
             raise ValueError("vanilla_chain mode needs a drafter")
         session = DrafterSession(drafter)
-        if run.temperature == 0:
-            topology, rule = chain_topology(drafter.config.K), "greedy"
-        else:
-            topology, rule = None, "chain"
+        topology = chain_topology(drafter.config.K)
+        rule = "greedy" if run.temperature == 0 else "chain"
     else:
         if drafter is None:
             raise ValueError(f"mode {run.mode!r} needs a drafter")
@@ -248,8 +246,6 @@ def run_prompt(
         rule=rule,
         temperature=run.temperature,
         rng=rng,
-        epsilon=run.epsilon,
-        delta=run.delta,
     )
 
 

@@ -68,7 +68,8 @@ def _coerce_value(raw: str, hint) -> object:
 
 
 def coerce_dataclass(cls, mapping: dict[str, str], prefix: str = "", **overrides):
-    """Build ``cls`` from matching config keys; overrides win over the file."""
+    """Build ``cls`` from matching config keys; overrides win over the file.
+    A value the class rejects raises ``ConfigError``, naming the class."""
     hints = typing.get_type_hints(cls)
     kwargs = {}
     for f in dataclasses.fields(cls):
@@ -76,7 +77,10 @@ def coerce_dataclass(cls, mapping: dict[str, str], prefix: str = "", **overrides
         if key in mapping:
             kwargs[f.name] = _coerce_value(mapping[key], hints[f.name])
     kwargs.update({k: v for k, v in overrides.items() if v is not None})
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as err:
+        raise ConfigError(f"{cls.__name__}: {err}") from err
 
 
 def dump_config(sections: list[tuple[str, object]], path: str | Path) -> None:

@@ -22,6 +22,8 @@ from .nn import LayerKV, Linear, Module, RMSNorm, TransformerLayer, silu
 from .tensor import DimensionError, Parameter, Tensor
 
 ADAPTATION_MODES = ("staged", "one_layer", "none")
+# Tokens each head lists, best first: the widest choice index a tree can use.
+TOP_K = 10
 
 
 @dataclass
@@ -35,7 +37,6 @@ class DrafterConfig:
     lm_head_rank: int | str = "full"
     sal_heads: int = 4
     sal_ffn_dim: int = 0  # 0 -> 4 * hidden_dim
-    top_k_per_head: tuple[int, ...] = ()  # empty -> 10 per head
 
     def __post_init__(self):
         if self.K < 2:
@@ -49,30 +50,20 @@ class DrafterConfig:
                 raise ValueError("lm_head_rank must be 'full' or a positive int")
         elif self.lm_head_rank < 1:
             raise ValueError("lm_head_rank must be 'full' or a positive int")
-        if not self.top_k_per_head:
-            self.top_k_per_head = (10,) * self.K
-        self.top_k_per_head = tuple(int(k) for k in self.top_k_per_head)
-        if len(self.top_k_per_head) != self.K or any(k < 1 for k in self.top_k_per_head):
-            raise ValueError("top_k_per_head needs K entries, each >= 1")
 
 
 @dataclass
 class DraftOutput:
     d_logits: Tensor  # [K, V]
     probs: np.ndarray  # [K, V], softmax of d_logits
-    order: np.ndarray  # [K, k_max] int: head k's tokens by prob desc, -1 past its top-k
+    order: np.ndarray  # [K, min(TOP_K, V)] int: each head's tokens by prob desc
 
 
-def topk_lists(d_logits: np.ndarray, sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-head probabilities [K, V] and top-k token order [K, k_max]:
-    one stable argsort, so ties go to the lower token; head k's row is -1
-    past its ``sizes[k]`` tokens."""
+def topk_lists(d_logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-head probabilities [K, V] and top-``TOP_K`` token order
+    [K, min(TOP_K, V)]: one stable argsort, so ties go to the lower token."""
     probs = T.stable_softmax(d_logits)
-    k_max = min(max(sizes), probs.shape[-1])
-    order = np.argsort(-probs, axis=-1, kind="stable")[:, :k_max]
-    if min(sizes) < k_max:
-        order = np.where(np.arange(k_max) < np.asarray(sizes)[:, None], order, -1)
-    return probs, order
+    return probs, np.argsort(-probs, axis=-1, kind="stable")[:, :TOP_K]
 
 
 class DraftState:
@@ -240,7 +231,7 @@ class Drafter(Module):
         d_logits = self.all_head_logits(attn_o)
         if not isinstance(d_logits, Tensor):
             d_logits = Tensor(d_logits)  # the one NaN/Inf check of a draft step
-        probs, order = topk_lists(d_logits.data, self.config.top_k_per_head)
+        probs, order = topk_lists(d_logits.data)
         return DraftOutput(d_logits=d_logits, probs=probs, order=order)
 
     # -- composition ---------------------------------------------------------------------

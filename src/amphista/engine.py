@@ -97,7 +97,7 @@ class OracleDrafterSession:
         finally:
             model_cache.truncate(base)
         d_logits = np.stack(rows)
-        probs, order = topk_lists(d_logits, (10,) * self.k)
+        probs, order = topk_lists(d_logits)
         return DraftOutput(d_logits=Tensor(d_logits), probs=probs, order=order)
 
 
@@ -152,29 +152,24 @@ def speculative_generate(
     model: TargetModel,
     session,
     prompt: list[int],
-    topology: TreeTopology | None,
+    topology: TreeTopology,
     max_new_tokens: int,
     rule: str = "greedy",
     temperature: float = 0.0,
     rng: np.random.Generator | None = None,
-    epsilon: float = 0.09,
-    delta: float = 0.3,
 ) -> GenerationResult:
     """Speculate-verify decoding; greedy rule emits exactly the AR sequence.
+    The chain rule samples its tokens onto ``topology``, which must be a chain.
 
     Rounds whose tree would not fit in the context window become 1-token
     target steps, so a request that passes the up-front budget check always
     finishes.
     """
     _check_budget(model, prompt, max_new_tokens)
-    if rule != "chain":
-        if topology is None:
-            raise EngineError("tree verification requires a topology")
-        if topology.depth_max != session.depth:
-            raise EngineError(
-                f"topology depth {topology.depth_max} != drafter depth {session.depth}"
-            )
-    tree_nodes = session.depth + 1 if rule == "chain" else topology.node_count
+    if topology.depth_max != session.depth:
+        raise EngineError(
+            f"topology depth {topology.depth_max} != drafter depth {session.depth}"
+        )
     start = time.perf_counter()
     cache = model.new_cache()
     events: list[StepEvent] = []
@@ -186,7 +181,7 @@ def speculative_generate(
     while len(new) < max_new_tokens:
         step += 1
         base = cache.length
-        if base + tree_nodes > model.config.max_seq_len:
+        if base + topology.node_count > model.config.max_seq_len:
             # The window only fills up, so no later round drafts again.
             out = model.forward([tok], cache)
             tok = sample(out.logits.data[-1], temperature, rng)
@@ -195,15 +190,13 @@ def speculative_generate(
             continue
         draft = session.draft(h, tok, cache)
         if rule == "chain":
-            tree = sample_chain_tree(draft, session.depth, tok, rng)
+            tree = sample_chain_tree(draft, topology, tok, rng)
         else:
             tree = expand_tree(draft, topology, tok)
         tout = model.forward(
             tree.tokens, cache, mask=tree.mask, positions=base + tree.positions
         )
-        result = verify(
-            tree, tout.logits, rule, temperature, rng, epsilon=epsilon, delta=delta
-        )
+        result = verify(tree, tout.logits, rule, temperature, rng)
         bonus = commit(result, tree, cache)
         new.extend(int(tree.tokens[i]) for i in result.accepted_nodes[1:])
         new.append(bonus)

@@ -31,7 +31,6 @@ class ModelConfig:
     n_heads: int = 4
     ffn_dim: int = 256
     max_seq_len: int = 512
-    norm_eps: float = 1e-5
 
     def __post_init__(self):
         if self.hidden_dim % self.n_heads:
@@ -94,10 +93,10 @@ class TargetModel(Module):
         self.token_emb = Parameter((rng.standard_normal((config.vocab_size, d)) * 0.02).astype(dt))
         self.pos_emb = Parameter((rng.standard_normal((config.max_seq_len, d)) * 0.02).astype(dt))
         self.layers = [
-            TransformerLayer(d, config.n_heads, config.ffn_dim, rng, eps=config.norm_eps)
+            TransformerLayer(d, config.n_heads, config.ffn_dim, rng)
             for _ in range(config.n_layers)
         ]
-        self.final_norm = RMSNorm(d, config.norm_eps)
+        self.final_norm = RMSNorm(d)
         self.lm_head = Linear(d, config.vocab_size, rng, bias=False)
 
     @property

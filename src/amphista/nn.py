@@ -17,6 +17,8 @@ from . import tensor as T
 from .tensor import DimensionError, Parameter, Tensor
 
 MASKED_SCORE = -1e9
+# Added to the mean square under RMSNorm's square root.
+NORM_EPS = 1e-5
 # Query rows per block of tape-free attention (see SelfAttention._attend).
 # Trees of up to 64 nodes and 1-token steps stay one block, computed exactly
 # as unblocked attention; 32 and 128 were timed too (README, "Precision").
@@ -109,16 +111,15 @@ class Linear(Module):
 
 
 class RMSNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-5):
+    def __init__(self, dim: int):
         self.gain = Parameter(np.ones(dim, dtype=T.default_dtype()))
-        self._eps = eps
 
     def __call__(self, x):
         if isinstance(x, np.ndarray):
             # sum / n is what ndarray.mean computes, bit for bit, with less overhead
-            ms = (x * x).sum(axis=-1, keepdims=True) / x.shape[-1] + self._eps
+            ms = (x * x).sum(axis=-1, keepdims=True) / x.shape[-1] + NORM_EPS
             return x * ms**-0.5 * self.gain.data
-        return T.rms_norm(x, self.gain, self._eps)
+        return T.rms_norm(x, self.gain, NORM_EPS)
 
 
 def silu(x):
@@ -318,14 +319,13 @@ class TransformerLayer(Module):
         n_heads: int,
         ffn_dim: int,
         rng: np.random.Generator,
-        eps: float = 1e-5,
         out_norm: bool = False,
     ):
-        self.norm1 = RMSNorm(dim, eps)
+        self.norm1 = RMSNorm(dim)
         self.attn = SelfAttention(dim, n_heads, rng)
-        self.norm2 = RMSNorm(dim, eps)
+        self.norm2 = RMSNorm(dim)
         self.ffn = FeedForward(dim, ffn_dim, rng)
-        self.out_norm = RMSNorm(dim, eps) if out_norm else None
+        self.out_norm = RMSNorm(dim) if out_norm else None
 
     def __call__(
         self,

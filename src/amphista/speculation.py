@@ -21,6 +21,12 @@ from .tensor import Tensor, stable_softmax
 
 Path_ = tuple[int, ...]
 
+# Typical acceptance's thresholds (Medusa, Cai et al. 2024): at T > 0 a child
+# is accepted iff its target probability is at least
+# min(TYPICAL_EPSILON, TYPICAL_DELTA * exp(-H)), H the target's entropy.
+TYPICAL_EPSILON = 0.09
+TYPICAL_DELTA = 0.3
+
 
 class TopologyError(ValueError):
     """Invalid tree description (not prefix-closed, bad indices, ...)."""
@@ -278,10 +284,10 @@ def expand_tree(draft, topology: TreeTopology, last_token: int) -> DraftTree:
     for i, path in enumerate(topology.paths, start=1):
         head = len(path) - 1
         choice = path[-1]
-        if choice >= k_max or order[head, choice] < 0:
+        if choice >= k_max:
             raise TopologyError(
                 f"choice index {choice} at depth {len(path)} exceeds head "
-                f"{head + 1}'s top-k of {int((order[head] >= 0).sum())}"
+                f"{head + 1}'s top-k of {k_max}"
             )
         tokens[i] = order[head, choice]
         probs[i] = draft.probs[head, tokens[i]]
@@ -289,13 +295,17 @@ def expand_tree(draft, topology: TreeTopology, last_token: int) -> DraftTree:
 
 
 def sample_chain_tree(
-    draft, depth: int, last_token: int, rng: np.random.Generator
+    draft, topology: TreeTopology, last_token: int, rng: np.random.Generator
 ) -> DraftTree:
-    """Single-path tree whose tokens are *drawn* from each head's distribution,
-    as required for rejection-sampling verification (the top-k tree is a
-    deterministic proposal and would bias the accepted distribution)."""
+    """Fill a single-path topology with tokens *drawn* from each head's
+    distribution, as required for rejection-sampling verification (the top-k
+    tree is a deterministic proposal and would bias the accepted distribution)."""
+    depth = topology.depth_max
+    if topology.node_count != depth + 1:
+        raise TopologyError(
+            f"chain sampling needs a single-path topology, not {topology.node_count} nodes"
+        )
     dists = draft.probs
-    topology = chain_topology(depth)
     tokens = np.zeros(depth + 1, dtype=np.int64)
     probs = np.ones(depth + 1, dtype=np.float64)
     tokens[0] = last_token
@@ -345,16 +355,15 @@ def verify(
     rule: str,
     temperature: float,
     rng: np.random.Generator | None = None,
-    epsilon: float = 0.09,
-    delta: float = 0.3,
 ) -> VerifyResult:
     """Walk the tree against the target's logits and pick the accepted path.
 
     greedy (T=0): descend into the child carrying the current node's argmax;
     the emitted tokens are exactly those of autoregressive greedy decoding.
     typical (T>0): accept children whose target probability clears an
-    entropy-scaled threshold min(epsilon, delta * exp(-H)); descend by
-    highest draft probability; bonus sampled from the stopping distribution.
+    entropy-scaled threshold min(TYPICAL_EPSILON, TYPICAL_DELTA * exp(-H));
+    descend by highest draft probability; bonus sampled from the stopping
+    distribution.
     chain (T>0): single-path rejection sampling via ``chain_accept_step``.
     """
     logits = node_logits.data if isinstance(node_logits, Tensor) else np.asarray(node_logits)
@@ -386,7 +395,7 @@ def verify(
         while True:
             p = stable_softmax(logits[node] / temperature)
             entropy = -np.sum(p * np.log(np.maximum(p, 1e-300)))
-            threshold = min(epsilon, delta * np.exp(-entropy))
+            threshold = min(TYPICAL_EPSILON, TYPICAL_DELTA * np.exp(-entropy))
             ok = [c for c in children[node] if p[tree.tokens[c]] >= threshold]
             if not ok:
                 return VerifyResult(

@@ -26,7 +26,6 @@ __all__ = [
     "Tensor",
     "Parameter",
     "no_grad",
-    "is_grad_enabled",
     "set_default_dtype",
     "default_dtype",
     "dtype_context",
@@ -42,7 +41,6 @@ __all__ = [
     "reshape",
     "expand_dims",
     "tsum",
-    "tmean",
     "softmax",
     "silu",
     "rms_norm",
@@ -77,10 +75,6 @@ def set_default_dtype(dtype) -> None:
 
 def default_dtype():
     return _DEFAULT_DTYPE
-
-
-def is_grad_enabled() -> bool:
-    return _GRAD_ENABLED
 
 
 @contextlib.contextmanager
@@ -167,9 +161,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def backward(self) -> None:
         backward(self)
 
@@ -177,38 +168,6 @@ class Tensor:
 
     def __add__(self, other):
         return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return add(self, mul(_as_tensor(other), _as_tensor(-1.0)))
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __neg__(self):
-        return mul(self, _as_tensor(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
-    def __getitem__(self, key):
-        return _getitem(self, key)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
 
 class Parameter(Tensor):
@@ -450,17 +409,6 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _result(np.ascontiguousarray(out), (x,), bwd)
 
 
-def _getitem(x: Tensor, key) -> Tensor:
-    out = x.data[key]
-
-    def bwd(g):
-        buf = np.zeros_like(x.data)
-        np.add.at(buf, key, g)
-        _accum(x, buf)
-
-    return _result(np.ascontiguousarray(out), (x,), bwd)
-
-
 # -- reductions --------------------------------------------------------------------
 
 
@@ -475,12 +423,6 @@ def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         _accum(x, np.broadcast_to(g2, x.data.shape))
 
     return _result(out, (x,), bwd)
-
-
-def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = x.data.size if axis is None else x.data.shape[axis]
-    scale = Tensor(np.asarray(1.0 / count, dtype=x.data.dtype))
-    return mul(tsum(x, axis=axis, keepdims=keepdims), scale)
 
 
 # -- neural-net ops -----------------------------------------------------------------
@@ -553,16 +495,14 @@ def _log_softmax_data(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def cross_entropy(logits: Tensor, target, reduction: str = "mean") -> Tensor:
-    """Cross-entropy of ``logits`` rows against hard indices or soft rows.
+def cross_entropy(logits: Tensor, target) -> Tensor:
+    """Mean cross-entropy of ``logits`` rows against hard indices or soft rows.
 
     Hard target: integer index (array of shape logits.shape[:-1]) ->
     -log softmax(logits)[index]. Soft target: probability rows summing to
     1 +/- 1e-6 -> -sum p * log softmax(logits). Targets are constants; no
     gradient flows into them.
     """
-    if reduction not in ("mean", "sum", "none"):
-        raise ValueError(f"unknown reduction {reduction!r}")
     ld = logits.data
     if ld.ndim == 0:
         raise DimensionError("cross_entropy requires at least one logit axis")
@@ -600,15 +540,7 @@ def cross_entropy(logits: Tensor, target, reduction: str = "mean") -> Tensor:
         losses = -(soft * logp).sum(axis=-1)
         delta = probs - soft
 
-    if reduction == "none":
-        out = losses.reshape(rows_shape)
-
-        def bwd_none(g):
-            _accum(logits, (g.reshape(n_rows, 1) * delta).reshape(ld.shape))
-
-        return _result(out, (logits,), bwd_none)
-
-    scale = 1.0 / n_rows if reduction == "mean" else 1.0
+    scale = 1.0 / n_rows
     out = np.asarray(losses.sum() * scale)
 
     def bwd(g):

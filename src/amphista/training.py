@@ -128,18 +128,18 @@ def lr_at(step: int, schedule: Schedule) -> float:
     return schedule.base_lr * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
+# Share of a run's optimizer steps over which the learning rate ramps up.
+WARMUP_FRAC = 0.05
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 4
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    weight_decay: float = 0.0
     batch_size: int = 4
     seed: int = 0
     lambda1: float = 1.0
     lambda2: float = 1.0
-    warmup_frac: float = 0.05
 
 
 @dataclass
@@ -220,6 +220,46 @@ def split_corpus(sequences: list[list[int]], held_out_frac: float = 0.1):
     return sequences[:-n_held], sequences[-n_held:]
 
 
+def corpus_sequences(corpus) -> list[list[int]]:
+    """The token sequences of a ``Corpus``, or of any iterable of sequences."""
+    return corpus.sequences if hasattr(corpus, "sequences") else list(corpus)
+
+
+def _minibatch_epochs(
+    tokens_all: np.ndarray, params: list[Parameter], config: TrainConfig, loss_terms
+):
+    """Train ``params`` with AdamW on shuffled minibatches of the rows of
+    ``tokens_all``, under a warmup + cosine schedule over every step of the
+    run. ``loss_terms(batch)`` returns loss Tensors, and the first of them is
+    the one minimized. Yields, after each epoch, every term's mean per
+    sequence over that epoch."""
+    n = tokens_all.shape[0]
+    steps_per_epoch = (n + config.batch_size - 1) // config.batch_size
+    total_steps = config.epochs * steps_per_epoch
+    schedule = Schedule(
+        base_lr=config.lr,
+        warmup_steps=min(int(WARMUP_FRAC * total_steps), total_steps - 1),
+        total_steps=total_steps,
+    )
+    opt = AdamW(params)
+    rng = np.random.default_rng(config.seed)
+    step = 0
+    for _epoch in range(config.epochs):
+        order = rng.permutation(n)
+        sums, seen = 0.0, 0
+        for lo in range(0, n, config.batch_size):
+            batch = tokens_all[order[lo : lo + config.batch_size]]
+            step += 1
+            terms = loss_terms(batch)
+            opt.zero_grad()
+            terms[0].backward()
+            opt.step(lr_at(step, schedule))
+            sums = sums + np.array([t.item() for t in terms]) * len(batch)
+            seen += len(batch)
+        yield (sums / seen).tolist()
+    opt.zero_grad()
+
+
 def train(
     corpus,
     model: TargetModel,
@@ -229,55 +269,27 @@ def train(
     """Train the drafter with the dual objective; the target stays frozen."""
     if any(p.requires_grad for p in model.parameters()):
         raise TrainingError("target model must be frozen before drafter training")
-    sequences = corpus.sequences if hasattr(corpus, "sequences") else list(corpus)
-    train_seqs, held_seqs = split_corpus(sequences)
-    tokens_all = _as_token_matrix(train_seqs)
-    n = tokens_all.shape[0]
+    train_seqs, held_seqs = split_corpus(corpus_sequences(corpus))
     weights = LossWeights(config.lambda1, config.lambda2)
 
-    steps_per_epoch = (n + config.batch_size - 1) // config.batch_size
-    total_steps = config.epochs * steps_per_epoch
-    schedule = Schedule(
-        base_lr=config.lr,
-        warmup_steps=min(max(int(config.warmup_frac * total_steps), 0), total_steps - 1),
-        total_steps=total_steps,
-    )
-    opt = AdamW(
-        drafter.parameters(),
-        beta1=config.beta1,
-        beta2=config.beta2,
-        weight_decay=config.weight_decay,
-    )
-    rng = np.random.default_rng(config.seed)
+    def loss_terms(batch):
+        return compute_losses(*batch_draft_logits(model, drafter, batch), weights)
 
+    tokens_all = _as_token_matrix(train_seqs)
+    epochs = _minibatch_epochs(tokens_all, drafter.parameters(), config, loss_terms)
     report = TrainReport()
-    step = 0
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(n)
-        sums = np.zeros(3)
-        seen = 0
-        for lo in range(0, n, config.batch_size):
-            batch = tokens_all[order[lo : lo + config.batch_size]]
-            step += 1
-            d_logits, target_logits, gt = batch_draft_logits(model, drafter, batch)
-            total, alignment, lm = compute_losses(d_logits, target_logits, gt, weights)
-            opt.zero_grad()
-            total.backward()
-            opt.step(lr_at(step, schedule))
-            sums += [alignment.item() * len(batch), lm.item() * len(batch), total.item() * len(batch)]
-            seen += len(batch)
+    for epoch, (total, alignment, lm) in enumerate(epochs, 1):
         top1, top5 = measure_head_accuracy(held_seqs, model, drafter, top_ns=(1, 5))
         report.epochs.append(
             EpochStats(
                 epoch=epoch,
-                alignment_loss=float(sums[0] / seen),
-                lm_loss=float(sums[1] / seen),
-                total_loss=float(sums[2] / seen),
+                alignment_loss=alignment,
+                lm_loss=lm,
+                total_loss=total,
                 head_top1=top1,
                 head_top5=top5,
             )
         )
-    opt.zero_grad()
     return report
 
 
@@ -297,10 +309,9 @@ def measure_head_accuracy(
 ) -> tuple[list[float], ...]:
     """Per-head top-n accuracy: head k is correct@n at position t iff the true
     token at t+1+k ranks in its top n. Returns one list per requested n."""
-    sequences = sequences.sequences if hasattr(sequences, "sequences") else sequences
     hits: np.ndarray | None = None
     total = 0
-    for seq in sequences:
+    for seq in corpus_sequences(sequences):
         tokens = np.asarray(seq, dtype=np.int64)
         t = len(tokens)
         d_logits = drafter_position_logits(model, drafter, tokens)
@@ -352,39 +363,11 @@ class TargetTrainReport:
 
 def train_target(corpus, model: TargetModel, config: TrainConfig) -> TargetTrainReport:
     """Plain next-token pretraining for the toy target model."""
-    sequences = corpus.sequences if hasattr(corpus, "sequences") else list(corpus)
-    tokens_all = _as_token_matrix(sequences)
-    n = tokens_all.shape[0]
-    steps_per_epoch = (n + config.batch_size - 1) // config.batch_size
-    total_steps = config.epochs * steps_per_epoch
-    schedule = Schedule(
-        base_lr=config.lr,
-        warmup_steps=min(max(int(config.warmup_frac * total_steps), 0), total_steps - 1),
-        total_steps=total_steps,
-    )
-    opt = AdamW(
-        model.parameters(),
-        beta1=config.beta1,
-        beta2=config.beta2,
-        weight_decay=config.weight_decay,
-    )
-    rng = np.random.default_rng(config.seed)
-    report = TargetTrainReport()
-    step = 0
-    for _epoch in range(config.epochs):
-        order = rng.permutation(n)
-        loss_sum, seen = 0.0, 0
-        for lo in range(0, n, config.batch_size):
-            batch = tokens_all[order[lo : lo + config.batch_size]]
-            step += 1
-            out = model.forward_batch(batch)
-            logits = T.narrow(out.logits, 1, 0, batch.shape[1] - 1)
-            loss = T.cross_entropy(logits, batch[:, 1:])
-            opt.zero_grad()
-            loss.backward()
-            opt.step(lr_at(step, schedule))
-            loss_sum += loss.item() * len(batch)
-            seen += len(batch)
-        report.losses.append(loss_sum / seen)
-    opt.zero_grad()
-    return report
+
+    def loss_terms(batch):
+        logits = T.narrow(model.forward_batch(batch).logits, 1, 0, batch.shape[1] - 1)
+        return (T.cross_entropy(logits, batch[:, 1:]),)
+
+    tokens_all = _as_token_matrix(corpus_sequences(corpus))
+    epochs = _minibatch_epochs(tokens_all, model.parameters(), config, loss_terms)
+    return TargetTrainReport([loss for (loss,) in epochs])

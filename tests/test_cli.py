@@ -144,9 +144,10 @@ class TestCommands:
     def test_selfcheck_passes(self):
         assert main(["selfcheck", "--seed", "0"]) == 0
 
-    def test_unknown_mode_rejected(self, tiny_cfg, tmp_path):
-        with pytest.raises(ValueError, match="unknown mode"):
-            main(["bench", "--config", tiny_cfg, "--out", str(tmp_path), "--mode", "warpdrive"])
+    def test_unknown_mode_rejected(self, tiny_cfg, tmp_path, capsys):
+        argv = ["bench", "--config", tiny_cfg, "--out", str(tmp_path), "--mode", "warpdrive"]
+        assert main(argv) == 1
+        assert "unknown mode 'warpdrive'" in capsys.readouterr().err
 
 
 def _medusa_checkpoint(tiny_cfg, path):
@@ -253,3 +254,25 @@ class TestNamedErrors:
         assert main(argv) == 1
         assert named in self._one_line(capsys)
         assert not (tmp_path / "ts").exists()
+
+    @pytest.mark.parametrize(
+        "command, flags, extra_cfg, named",
+        [
+            ("bench", ["--mode", "foo"], "", "RunConfig: unknown mode 'foo'"),
+            ("bench", [], "K=1\n", "DrafterConfig: need at least 2 drafting heads"),
+            ("generate", ["--temperature", "-1"], "", "RunConfig: temperature must be >= 0"),
+        ],
+    )
+    def test_rejected_config_value_before_building(
+        self, tiny_cfg, tmp_path, capsys, monkeypatch, command, flags, extra_cfg, named
+    ):
+        def unreachable(*args):
+            raise AssertionError("_build_system ran")
+
+        monkeypatch.setattr(cli, "_build_system", unreachable)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY + extra_cfg)
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out"), *flags]
+        assert main(argv) == 1
+        assert named in self._one_line(capsys)
+        assert not (tmp_path / "out").exists()

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from amphista.bench import AblationConfig
 from amphista.cli import _build_configs
 from amphista.configfile import ConfigError, coerce_dataclass, dump_config, parse_config
 from amphista.corpus import CorpusSpec
@@ -26,7 +27,6 @@ n_layers=2
 n_heads=2
 ffn_dim=64
 max_seq_len=128
-norm_eps=1e-5
 
 K=4
 adaptation=one_layer
@@ -34,7 +34,6 @@ use_sampled_token=false
 use_auto_embedding=True
 lm_head_rank=16
 sal_heads=2
-top_k_per_head=3,3,3,3
 
 epochs=2
 lr=0.002
@@ -42,6 +41,8 @@ lambda2=0.5
 
 corpus_vocab=16
 corpus_seq_len=32
+
+ablation_seeds=3,4
 """
 
 
@@ -60,14 +61,13 @@ class TestCoercion:
     def test_all_field_kinds(self):
         raw = parse_config(FULL_TEXT)
         model = coerce_dataclass(ModelConfig, raw)
-        assert (model.vocab_size, model.norm_eps) == (128, 1e-5)
+        assert (model.vocab_size, model.max_seq_len) == (128, 128)
 
         drafter = coerce_dataclass(DrafterConfig, raw)
         assert drafter.adaptation == "one_layer"
         assert drafter.use_sampled_token is False
         assert drafter.use_auto_embedding is True
         assert drafter.lm_head_rank == 16  # int|str union, numeric branch
-        assert drafter.top_k_per_head == (3, 3, 3, 3)
 
         train = coerce_dataclass(TrainConfig, raw)
         assert (train.epochs, train.lr, train.lambda2) == (2, 0.002, 0.5)
@@ -75,6 +75,9 @@ class TestCoercion:
 
         corpus = coerce_dataclass(CorpusSpec, raw, prefix="corpus_")
         assert (corpus.vocab, corpus.seq_len) == (16, 32)
+
+        ablation = coerce_dataclass(AblationConfig, raw, prefix="ablation_")
+        assert ablation.seeds == (3, 4)  # tuple of ints
 
     def test_lm_head_rank_full_string(self):
         drafter = coerce_dataclass(DrafterConfig, {"lm_head_rank": "full"})
@@ -116,8 +119,13 @@ class TestRoundTrip:
             _build_configs(_cli_args(path))
 
     def test_stray_key_is_named_before_any_work(self, tmp_path):
+        # a typo, and every key that became a constant
+        stray = ["n_promts", "epsilon", "delta", "top_k_per_head", "norm_eps", "beta1", "beta2",
+                 "weight_decay", "warmup_frac"]
         path = tmp_path / "typo.cfg"
-        path.write_text("hidden_dim=32\nn_promts=3\ntarget_epochs=1\ncorpus_vocab=16\n")
+        lines = ["hidden_dim=32", "target_epochs=1", "corpus_vocab=16"] + [f"{k}=1" for k in stray]
+        path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError, match="n_promts") as err:
             _build_configs(_cli_args(path))
+        assert f"unknown key(s) {', '.join(sorted(stray))};" in str(err.value)
         assert "hidden_dim" not in str(err.value) and "target_epochs" not in str(err.value)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from amphista import tensor as T
-from amphista.drafter import Drafter, DrafterConfig, VARIANT_NAMES, topk_lists, variant_config
+from amphista.drafter import TOP_K, Drafter, DrafterConfig, VARIANT_NAMES, topk_lists, variant_config
 from amphista.gradcheck import grad_check
 from amphista.model import ModelConfig, TargetModel
 from amphista.tensor import DimensionError, NonFiniteError, Tensor
@@ -136,34 +136,41 @@ class TestAutoEmbed:
 
 class TestHeadLogits:
     def test_top1_is_argmax(self, tiny_model):
-        drafter = make_tiny_drafter(tiny_model, top_k_per_head=(1, 1, 1, 1))
+        drafter = make_tiny_drafter(tiny_model)
         rng = np.random.default_rng(10)
         out = drafter.head_logits(Tensor(rng.standard_normal((4, 16))))
-        assert out.order.shape == (4, 1)
+        assert out.order.shape == (4, TOP_K)
         for k in range(4):
             assert out.order[k, 0] == int(np.argmax(out.d_logits.data[k]))
 
     def test_topk_sorted_descending(self, tiny_model):
-        drafter = make_tiny_drafter(tiny_model, top_k_per_head=(5, 5, 5, 5))
+        drafter = make_tiny_drafter(tiny_model)
         rng = np.random.default_rng(11)
         out = drafter.head_logits(Tensor(rng.standard_normal((4, 16))))
         assert np.array_equal(out.probs, T.stable_softmax(out.d_logits.data))
+        assert out.order.shape == (4, TOP_K)
         for k, row in enumerate(out.order):
             probs = out.probs[k, row].tolist()
             assert probs == sorted(probs, reverse=True)
+            assert probs[-1] >= np.delete(out.probs[k], row).max()
 
     def test_topk_ties_go_to_the_lower_token(self):
-        logits = np.zeros((3, 8))
-        logits[0, [5, 2, 7]] = 1.0  # a three-way tie above five more
+        logits = np.zeros((3, TOP_K + 2))
+        logits[0, [5, 2, 7]] = 1.0  # a three-way tie above the other tokens' tie
         logits[1, 6] = 2.0
         logits[2, [4, 1]] = 3.0
-        probs, order = topk_lists(logits, (4, 2, 3))
+        probs, order = topk_lists(logits)
         assert np.array_equal(probs, T.stable_softmax(logits))
-        assert order.tolist() == [[2, 5, 7, 0], [6, 0, -1, -1], [1, 4, 0, -1]]
+        rest = [[t for t in range(TOP_K + 2) if t not in top] for top in ([2, 5, 7], [6], [1, 4])]
+        assert order.tolist() == [
+            ([2, 5, 7] + rest[0])[:TOP_K],
+            ([6] + rest[1])[:TOP_K],
+            ([1, 4] + rest[2])[:TOP_K],
+        ]
 
     def test_topk_wider_than_the_vocabulary_lists_every_token(self):
-        probs, order = topk_lists(np.zeros((2, 3)), (5, 2))
-        assert order.tolist() == [[0, 1, 2], [0, 1, -1]]
+        probs, order = topk_lists(np.zeros((2, 3)))
+        assert order.tolist() == [[0, 1, 2], [0, 1, 2]]
 
     def test_low_rank_matches_full_matrix_oracle(self):
         model = TargetModel(

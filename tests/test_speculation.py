@@ -37,18 +37,18 @@ from conftest import make_tiny_model, predicted_tokens_per_step, random_tree_pat
 def fake_draft_output(topk, vocab=24):
     """DraftOutput whose logits, probabilities and top-k order follow the
     given per-head (token, prob) lists; the mass the list leaves is spread
-    over the other tokens, and heads' lists may differ in length."""
+    over the other tokens. Every head lists as many tokens as the longest
+    list, so a shorter list goes on with the other tokens, lowest first."""
     k = len(topk)
     k_max = max(len(pairs) for pairs in topk)
     logits = np.full((k, vocab), -10.0)
     probs = np.zeros((k, vocab))
-    order = np.full((k, k_max), -1)
     for head, pairs in enumerate(topk):
         probs[head] = (1.0 - sum(p for _, p in pairs)) / (vocab - len(pairs))
         for rank, (tok, prob) in enumerate(pairs):
             logits[head, tok] = 5.0 - rank
             probs[head, tok] = prob
-            order[head, rank] = tok
+    order = np.argsort(-probs, axis=-1, kind="stable")[:, :k_max]
     return DraftOutput(d_logits=Tensor(logits), probs=probs, order=order)
 
 
@@ -290,11 +290,16 @@ class TestChainRejection:
         tree = chain_tree([1, 3, 5, 7, 9])
         with pytest.raises(ValueError, match="distributions"):
             verify(tree, one_hot_logits([3, 5, 7, 9, 11]), "chain", 0.7, np.random.default_rng(0))
+        draft = fake_draft_output([[(3, 0.9), (4, 0.05)]] * 4)
+        with pytest.raises(TopologyError, match="single-path"):
+            sample_chain_tree(draft, preset_topology("cart45"), 1, np.random.default_rng(0))
 
     def test_sampled_chain_tree_tokens_come_from_heads(self):
         topk = [[(3, 0.9)], [(5, 0.8)], [(7, 0.7)], [(9, 0.6)]]
         draft = fake_draft_output(topk)
-        tree = sample_chain_tree(draft, 4, last_token=1, rng=np.random.default_rng(0))
+        tree = sample_chain_tree(
+            draft, chain_topology(4), last_token=1, rng=np.random.default_rng(0)
+        )
         assert tree.node_count == 5
         assert tree.head_dists is not None
         for k in range(4):
