@@ -71,6 +71,12 @@ class LosslessnessError(RuntimeError):
     """A greedy speculative run diverged from autoregressive decoding."""
 
 
+def _check_positive(config, *names: str) -> None:
+    for name in names:
+        if getattr(config, name) < 1:
+            raise ValueError(f"{name} must be >= 1, got {getattr(config, name)}")
+
+
 @dataclass
 class RunConfig:
     mode: str = "amphista"
@@ -88,6 +94,7 @@ class RunConfig:
             )
         if self.temperature < 0:
             raise ValueError(f"temperature must be >= 0, got {self.temperature:g}")
+        _check_positive(self, "n_prompts", "max_new_tokens")
 
 
 @dataclass
@@ -556,6 +563,11 @@ class AblationConfig:
     max_new_tokens: int = 24
     topology: str = "cart45"
     target_epochs: int = 8
+
+    def __post_init__(self):
+        if not self.seeds:
+            raise ValueError("seeds must list at least one seed")
+        _check_positive(self, "n_eval_prompts", "max_new_tokens")
 
 
 @dataclass

@@ -59,29 +59,33 @@ def dump_state(state: dict[str, np.ndarray]) -> bytes:
 
 
 def load_state(blob: bytes) -> dict[str, np.ndarray]:
-    """Parse checkpoint bytes back into a name -> array mapping."""
+    """Parse checkpoint bytes back into a name -> array mapping; malformed
+    bytes raise ``CheckpointError`` naming the entry."""
     buf = io.BytesIO(blob)
     if buf.read(8) != MAGIC:
         raise CheckpointError("bad magic; not a checkpoint")
-    version, count = struct.unpack("<II", buf.read(8))
-    if version != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
     state: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", buf.read(2))
-        name = buf.read(name_len).decode("utf-8")
-        code, ndim = struct.unpack("<BB", buf.read(2))
-        if code not in _DTYPE_CODES:
-            raise CheckpointError(f"unknown dtype code {code}")
-        shape = struct.unpack(f"<{ndim}I", buf.read(4 * ndim))
-        dtype = _DTYPE_CODES[code]
-        n = int(np.prod(shape)) if shape else 1
-        payload = buf.read(n * dtype.itemsize)
-        if len(payload) != n * dtype.itemsize:
-            raise CheckpointError(f"truncated payload for {name!r}")
-        if name in state:
-            raise CheckpointError(f"duplicate parameter name {name!r}")
-        state[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+    try:
+        version, count = struct.unpack("<II", buf.read(8))
+        if version != VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}")
+        for _ in range(count):
+            (name_len,) = struct.unpack("<H", buf.read(2))
+            name = buf.read(name_len).decode("utf-8")
+            code, ndim = struct.unpack("<BB", buf.read(2))
+            if code not in _DTYPE_CODES:
+                raise CheckpointError(f"unknown dtype code {code}")
+            shape = struct.unpack(f"<{ndim}I", buf.read(4 * ndim))
+            dtype = _DTYPE_CODES[code]
+            n = int(np.prod(shape)) if shape else 1
+            payload = buf.read(n * dtype.itemsize)
+            if len(payload) != n * dtype.itemsize:
+                raise CheckpointError(f"truncated payload for {name!r}")
+            if name in state:
+                raise CheckpointError(f"duplicate parameter name {name!r}")
+            state[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+    except (struct.error, UnicodeDecodeError) as err:
+        raise CheckpointError(f"malformed after {len(state)} complete entries: {err}") from err
     return state
 
 
@@ -90,4 +94,9 @@ def save_checkpoint(path: str | Path, state: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
-    return load_state(Path(path).read_bytes())
+    try:
+        return load_state(Path(path).read_bytes())
+    except OSError as err:
+        raise CheckpointError(f"cannot read checkpoint {path}: {err.strerror}") from err
+    except CheckpointError as err:
+        raise CheckpointError(f"{path}: {err}") from err

@@ -265,8 +265,8 @@ def cmd_tree_search(args) -> int:
 
 def cmd_ablate(args) -> int:
     raw, model_cfg, drafter_cfg, train_cfg, corpus_spec, run_cfg = _build_configs(args)
-    out = _outdir(args)
     ablation = coerce_dataclass(AblationConfig, raw, prefix="ablation_")
+    out = _outdir(args)
     if args.seed is not None:
         ablation = replace(ablation, seeds=tuple(args.seed + i for i in range(len(ablation.seeds))))
     rows = run_ablation_suite(model_cfg, drafter_cfg, train_cfg, corpus_spec, ablation)

@@ -69,13 +69,17 @@ def _coerce_value(raw: str, hint) -> object:
 
 def coerce_dataclass(cls, mapping: dict[str, str], prefix: str = "", **overrides):
     """Build ``cls`` from matching config keys; overrides win over the file.
-    A value the class rejects raises ``ConfigError``, naming the class."""
+    A value that does not parse, or that the class rejects, raises
+    ``ConfigError`` naming the class."""
     hints = typing.get_type_hints(cls)
     kwargs = {}
     for f in dataclasses.fields(cls):
         key = prefix + f.name
         if key in mapping:
-            kwargs[f.name] = _coerce_value(mapping[key], hints[f.name])
+            try:
+                kwargs[f.name] = _coerce_value(mapping[key], hints[f.name])
+            except ValueError as err:
+                raise ConfigError(f"{cls.__name__}: {key}={mapping[key]!r}: {err}") from err
     kwargs.update({k: v for k, v in overrides.items() if v is not None})
     try:
         return cls(**kwargs)

@@ -6,8 +6,10 @@ Every ablation variant is reachable through ``DrafterConfig`` alone; the
 all-off configuration reproduces the independent-head (Medusa-style)
 computation graph.
 
-``draft`` (one decode step over the rolling caches) runs tape-free on plain
-arrays; ``sequence_logits`` (training) runs on the autodiff tape.
+One ``adapt`` serves every caller. ``draft`` (one decode step over the
+rolling caches) runs it tape-free on plain arrays. ``sequence_logits`` runs
+it over whole sequences: on the autodiff tape for training, and tape-free on
+arrays for evaluation.
 """
 
 from __future__ import annotations
@@ -151,51 +153,29 @@ class Drafter(Module):
 
     # -- stage 1: adaptation ----------------------------------------------------
 
-    def _sampled_embedding(self, next_token) -> Tensor:
-        if not self.config.use_sampled_token:
-            ids = np.asarray(next_token)
-            return Tensor(
-                np.zeros(ids.shape + (self._hidden_dim,), dtype=self._token_emb.data.dtype)
-            )
-        ids = np.asarray(next_token)
-        if ids.size and (ids.min() < 0 or ids.max() >= self._vocab):
+    def adapt(self, h, next_tokens, state: DraftState | None = None):
+        """Transform hidden states [..., T, d], each with the token sampled
+        after it ([..., T]), through the adaptation layers, attending causally.
+        A Tensor runs on the tape (training); an array runs tape-free, and
+        with a ``state`` (unbatched [T, d] only) attends to and extends its
+        caches, so T rows in one call match T one-row calls."""
+        ids = np.asarray(next_tokens)
+        if ids.size and (ids.min() < 0 or ids.max() >= self._vocab):  # even where unused
             raise IndexError(f"sampled token out of range [0, {self._vocab})")
-        return T.embedding(self._token_emb, ids)
-
-    def adapt(
-        self, h_t: np.ndarray, next_token: int, state: DraftState
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One decode step, tape-free: transform (h_t, sampled-token embedding)
-        through the adaptation layers, extending their caches by one position."""
-        tok = int(next_token)
-        if not 0 <= tok < self._vocab:  # checked even where the embedding is unused
-            raise IndexError(f"sampled token out of range [0, {self._vocab})")
-        if self.config.adaptation == "none":
-            return h_t, h_t
-        if self.config.use_sampled_token:
-            e = self._token_emb.data[tok]
-        else:
-            e = np.zeros_like(h_t)
-        x1 = self.fc1(np.concatenate([h_t, e]))
-        h1 = self.sal1(x1[None], cache=state.kv1)[0]
-        if self.config.adaptation == "one_layer":
-            return h1, h1
-        x2 = self.fc2(np.concatenate([h1, e]))
-        return h1, self.sal2(x2[None], cache=state.kv2)[0]
-
-    def adapt_sequence(self, h: Tensor, next_tokens: np.ndarray) -> tuple[Tensor, Tensor]:
-        """Teacher-forced adaptation of a whole sequence ([..., T, d]) with full
-        causal attention, on the tape; equivalent to stepping ``adapt`` position
-        by position."""
         if self.config.adaptation == "none":
             return h, h
-        e = self._sampled_embedding(next_tokens)
-        x1 = self.fc1(T.concat([h, e], axis=-1))
-        h1 = self.sal1(x1, causal=True)
+        taped = isinstance(h, Tensor)
+        if self.config.use_sampled_token:
+            e = T.embedding(self._token_emb, ids) if taped else self._token_emb.data[ids]
+        else:
+            e = np.zeros(ids.shape + (self._hidden_dim,), dtype=self._token_emb.data.dtype)
+            e = Tensor(e) if taped else e
+        concat = T.concat if taped else np.concatenate
+        kv1, kv2 = (None, None) if state is None else (state.kv1, state.kv2)
+        h1 = self.sal1(self.fc1(concat([h, e], axis=-1)), cache=kv1, causal=True)
         if self.config.adaptation == "one_layer":
             return h1, h1
-        x2 = self.fc2(T.concat([h1, e], axis=-1))
-        return h1, self.sal2(x2, causal=True)
+        return h1, self.sal2(self.fc2(concat([h1, e], axis=-1)), cache=kv2, causal=True)
 
     # -- stage 2: auto-embedding ---------------------------------------------------
 
@@ -237,12 +217,14 @@ class Drafter(Module):
     # -- composition ---------------------------------------------------------------------
 
     def draft(self, h_t: np.ndarray, next_token: int, state: DraftState) -> DraftOutput:
-        h1, h2 = self.adapt(h_t, next_token, state)
-        return self.head_logits(self.auto_embed(h1, h2))
+        """One decode step: adapt one row [d], extending ``state`` by one entry."""
+        h1, h2 = self.adapt(h_t[None], [next_token], state)
+        return self.head_logits(self.auto_embed(h1[0], h2[0]))
 
-    def sequence_logits(self, h: Tensor, next_tokens: np.ndarray) -> Tensor:
-        """Teacher-forced per-position draft logits: [..., T, d] -> [..., T, K, V]."""
-        h1, h2 = self.adapt_sequence(h, next_tokens)
+    def sequence_logits(self, h, next_tokens):
+        """Teacher-forced per-position draft logits: [..., T, d] -> [..., T, K, V],
+        on the tape for a Tensor, tape-free for an array."""
+        h1, h2 = self.adapt(h, next_tokens)
         return self.all_head_logits(self.auto_embed(h1, h2))
 
 

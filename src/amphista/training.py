@@ -293,12 +293,24 @@ def train(
     return report
 
 
-def drafter_position_logits(model: TargetModel, drafter: Drafter, tokens: np.ndarray) -> np.ndarray:
-    """Teacher-forced per-position draft logits [T-1, K, V] for one sequence."""
+def _teacher_forced(model: TargetModel, drafter: Drafter, seq) -> tuple[np.ndarray, ...]:
+    """One sequence, evaluated tape-free: the draft logits [T', K, V] at every
+    position with a full K-token future, and the tokens [T', K] each head
+    should name there: the sequence's own, and the target's teacher-forced
+    greedy ones (what greedy verification accepts)."""
+    tokens = np.asarray(seq, dtype=np.int64)
+    k = drafter.config.K
+    t_valid = len(tokens) - k - 1
+    if t_valid < 1:
+        raise TrainingError(f"sequence of length {len(tokens)} is shorter than K+2={k + 2} tokens")
     with T.no_grad():
         out = model.forward_batch(tokens[None, :])
-        hidden = Tensor(out.hidden.data[0, :-1])
-        return drafter.sequence_logits(hidden, tokens[1:]).data
+    # wrapped once for its NaN/Inf check
+    d_logits = Tensor(drafter.sequence_logits(out.hidden.data[0, :-1], tokens[1:])).data
+    greedy = out.logits.data[0].argmax(axis=-1)
+    corpus = np.stack([tokens[2 + i : 2 + i + t_valid] for i in range(k)], axis=1)
+    target = np.stack([greedy[1 + i : 1 + i + t_valid] for i in range(k)], axis=1)
+    return d_logits[:t_valid], corpus, target
 
 
 def measure_head_accuracy(
@@ -309,27 +321,15 @@ def measure_head_accuracy(
 ) -> tuple[list[float], ...]:
     """Per-head top-n accuracy: head k is correct@n at position t iff the true
     token at t+1+k ranks in its top n. Returns one list per requested n."""
-    hits: np.ndarray | None = None
-    total = 0
+    hits, total = 0, 0
     for seq in corpus_sequences(sequences):
-        tokens = np.asarray(seq, dtype=np.int64)
-        t = len(tokens)
-        d_logits = drafter_position_logits(model, drafter, tokens)
-        k = d_logits.shape[1]
-        t_valid = t - k - 1
-        if t_valid < 1:
-            raise TrainingError(f"sequence of length {t} is shorter than K+2={k + 2} tokens")
-        if hits is None:
-            hits = np.zeros((len(top_ns), k))
-        gt = np.stack([tokens[2 + i : 2 + i + t_valid] for i in range(k)], axis=1)  # [T', K]
-        rows = d_logits[:t_valid]  # [T', K, V]
-        order = np.argsort(-rows, axis=-1, kind="stable")
-        for ni, n in enumerate(top_ns):
-            top = order[..., :n]  # [T', K, n]
-            hits[ni] += (top == gt[..., None]).any(axis=-1).sum(axis=0)
-        total += t_valid
-    assert hits is not None
-    return tuple((hits[ni] / total).tolist() for ni in range(len(top_ns)))
+        d_logits, corpus, _ = _teacher_forced(model, drafter, seq)
+        order = np.argsort(-d_logits, axis=-1, kind="stable")
+        hits = hits + np.stack(
+            [(order[..., :n] == corpus[..., None]).any(axis=-1).sum(axis=0) for n in top_ns]
+        )
+        total += len(corpus)
+    return tuple((row / total).tolist() for row in hits)
 
 
 def measure_greedy_top1(
@@ -340,19 +340,9 @@ def measure_greedy_top1(
     token greedy verification accepts there."""
     hits, total = 0, 0
     for seq in sequences:
-        tokens = np.asarray(seq, dtype=np.int64)
-        d_logits = drafter_position_logits(model, drafter, tokens)
-        with T.no_grad():
-            greedy = model.forward_batch(tokens[None, :]).logits.data[0].argmax(axis=-1)
-        k = d_logits.shape[1]
-        t_valid = len(tokens) - k - 1
-        if t_valid < 1:
-            raise TrainingError(
-                f"sequence of length {len(tokens)} is shorter than K+2={k + 2} tokens"
-            )
-        target = np.stack([greedy[1 + i : 1 + i + t_valid] for i in range(k)], axis=1)  # [T', K]
-        hits = hits + (d_logits[:t_valid].argmax(axis=-1) == target).sum(axis=0)
-        total += t_valid
+        d_logits, _, target = _teacher_forced(model, drafter, seq)
+        hits = hits + (d_logits.argmax(axis=-1) == target).sum(axis=0)
+        total += len(target)
     return (hits / total).tolist()
 
 

@@ -305,19 +305,20 @@ class TestHeadAccuracyHarness:
             res = ar_generate(model, start, max_new_tokens=18)
             seqs.append(start + res.tokens)
 
-        def oracle_logits(m, _drafter, tokens):
+        def oracle_logits(hidden, _next_tokens):
             # head k (0-indexed) predicts position t+k+2, whose target logits
-            # sit at position t+k+1 of a teacher-forced forward
-            with T.no_grad():
-                logits = m.forward_batch(tokens[None, :]).logits.data[0]
-            t = len(tokens)
+            # sit at position t+k+1 of a teacher-forced forward; every scored
+            # position t < T-5 reads a row of ``hidden`` (positions 0..T-2)
+            logits = model.lm_head(hidden)
+            t = len(hidden)
             rows = np.stack(
-                [np.stack([logits[min(t0 + k + 1, t - 1)] for k in range(4)]) for t0 in range(t - 1)]
+                [np.stack([logits[min(t0 + k + 1, t - 1)] for k in range(4)]) for t0 in range(t)]
             )
             return rows
 
-        monkeypatch.setattr(training, "drafter_position_logits", oracle_logits)
-        top1, top5 = measure_head_accuracy(seqs, model, make_tiny_drafter(model))
+        drafter = make_tiny_drafter(model)
+        monkeypatch.setattr(drafter, "sequence_logits", oracle_logits)
+        top1, top5 = measure_head_accuracy(seqs, model, drafter)
         assert top1 == [1.0, 1.0, 1.0, 1.0]
         assert top5 == [1.0, 1.0, 1.0, 1.0]
 
@@ -328,17 +329,15 @@ class TestHeadAccuracyHarness:
         corpus = make_corpus(spec, seed=21)
         rng = np.random.default_rng(77)
 
-        def random_logits(_model, _drafter, tokens):
-            t = len(tokens)
-            rows = np.full((t - 1, 4, 256), -1e9)
-            rows[:, :, 64 : 64 + 32] = rng.standard_normal((t - 1, 4, 32))
+        def random_logits(hidden, _next_tokens):
+            rows = np.full((len(hidden), 4, 256), -1e9)
+            rows[:, :, 64 : 64 + 32] = rng.standard_normal((len(hidden), 4, 32))
             return rows
 
-        monkeypatch.setattr(training, "drafter_position_logits", random_logits)
-        model = make_tiny_model()  # untouched by the fake drafter logits
-        (top1,) = measure_head_accuracy(
-            corpus.sequences, model, make_tiny_drafter(model), top_ns=(1,)
-        )
+        model = make_tiny_model(config=SMALL_MODEL)  # its vocabulary holds the corpus bytes
+        drafter = make_tiny_drafter(model)
+        monkeypatch.setattr(drafter, "sequence_logits", random_logits)
+        (top1,) = measure_head_accuracy(corpus.sequences, model, drafter, top_ns=(1,))
         positions = 200 * (64 - 5)
         sigma = np.sqrt((1 / 32) * (31 / 32) / positions)
         for acc in top1:
@@ -364,7 +363,7 @@ class TestHeadAccuracyHarness:
         rows = np.stack(
             [np.stack([logits[min(t0 + k + 1, t - 1)] for k in range(4)]) for t0 in range(t - 1)]
         )
-        monkeypatch.setattr(drafter, "sequence_logits", lambda hidden, next_tokens: T.Tensor(rows))
+        monkeypatch.setattr(drafter, "sequence_logits", lambda hidden, next_tokens: rows)
         assert measure_greedy_top1([tokens], model, drafter) == [1.0, 1.0, 1.0, 1.0]
         (top1,) = measure_head_accuracy([tokens], model, drafter, top_ns=(1,))
         assert min(top1) < 1.0

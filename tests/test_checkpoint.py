@@ -52,9 +52,17 @@ class TestValidation:
         assert blob[:8] == MAGIC
 
     def test_truncated_payload(self):
+        """Every proper prefix of a valid blob, the header and each entry's
+        fields included, is rejected by name."""
         blob = dump_state(random_state())
-        with pytest.raises(CheckpointError):
-            load_state(blob[:-4])
+        for end in range(len(blob)):
+            with pytest.raises(CheckpointError):
+                load_state(blob[:end])
+
+    def test_rejects_non_utf8_name(self):
+        blob = dump_state({"ab": np.ones(2)})
+        with pytest.raises(CheckpointError, match="after 0 complete entries: 'utf-8'"):
+            load_state(blob.replace(b"ab", b"\xff\xfe", 1))
 
     def test_rejects_empty_name(self):
         with pytest.raises(CheckpointError):

@@ -221,6 +221,12 @@ class TestNamedErrors:
         assert main(argv) == 1  # an amphista system lacks the medusa drafter's keys
         assert "was the checkpoint trained for another mode" in self._one_line(capsys)
 
+    def test_missing_checkpoint(self, tiny_cfg, tmp_path, capsys):
+        ckpt = tmp_path / "absent.bin"
+        argv = ["bench", "--config", tiny_cfg, "--out", str(tmp_path), "--ckpt", str(ckpt)]
+        assert main(argv) == 1
+        assert f"cannot read checkpoint {ckpt}" in self._one_line(capsys)
+
     def test_engine_error(self, tiny_cfg, tmp_path, capsys):
         argv = ["generate", "--config", tiny_cfg, "--out", str(tmp_path), "--prompt", "x" * 300]
         assert main(argv) == 1
@@ -261,15 +267,25 @@ class TestNamedErrors:
             ("bench", ["--mode", "foo"], "", "RunConfig: unknown mode 'foo'"),
             ("bench", [], "K=1\n", "DrafterConfig: need at least 2 drafting heads"),
             ("generate", ["--temperature", "-1"], "", "RunConfig: temperature must be >= 0"),
+            ("bench", [], "K=abc\n", "DrafterConfig: K='abc': invalid literal for int()"),
+            ("bench", [], "n_prompts=0\n", "RunConfig: n_prompts must be >= 1, got 0"),
+            ("bench", ["--max-new-tokens", "0"], "", "RunConfig: max_new_tokens must be >= 1"),
+            (
+                "ablate",
+                [],
+                "ablation_n_eval_prompts=0\n",
+                "AblationConfig: n_eval_prompts must be >= 1, got 0",
+            ),
         ],
     )
     def test_rejected_config_value_before_building(
         self, tiny_cfg, tmp_path, capsys, monkeypatch, command, flags, extra_cfg, named
     ):
         def unreachable(*args):
-            raise AssertionError("_build_system ran")
+            raise AssertionError("work began before the config was checked")
 
         monkeypatch.setattr(cli, "_build_system", unreachable)
+        monkeypatch.setattr(cli, "run_ablation_suite", unreachable)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(TINY + extra_cfg)
         argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out"), *flags]

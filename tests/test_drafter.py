@@ -11,7 +11,7 @@ from amphista.drafter import TOP_K, Drafter, DrafterConfig, VARIANT_NAMES, topk_
 from amphista.gradcheck import grad_check
 from amphista.model import ModelConfig, TargetModel
 from amphista.tensor import DimensionError, NonFiniteError, Tensor
-from amphista.training import LossWeights, batch_draft_logits, compute_losses
+from amphista.training import LossWeights, batch_draft_logits, compute_losses, measure_head_accuracy
 
 from conftest import make_tiny_drafter, make_tiny_model
 
@@ -24,22 +24,34 @@ class TestAdapt:
     def test_none_variant_is_passthrough(self, tiny_model):
         drafter = make_tiny_drafter(tiny_model, adaptation="none")
         state = drafter.new_state()
-        h = rand_hidden(np.random.default_rng(0))
-        h1, h2 = drafter.adapt(h, 3, state)
+        h = rand_hidden(np.random.default_rng(0))[None]
+        h1, h2 = drafter.adapt(h, [3], state)
         assert h1 is h and h2 is h
         assert state.length == 0
 
     def test_shapes_and_cache_growth(self, tiny_model, tiny_drafter):
         state = tiny_drafter.new_state()
-        h = rand_hidden(np.random.default_rng(1))
-        h1, h2 = tiny_drafter.adapt(h, 3, state)
-        assert h1.shape == (16,) and h2.shape == (16,)
+        h = rand_hidden(np.random.default_rng(1))[None]
+        h1, h2 = tiny_drafter.adapt(h, [3], state)
+        assert h1.shape == (1, 16) and h2.shape == (1, 16)
         assert state.kv1.length == 1 and state.kv2.length == 1
+
+    def test_rows_in_one_call_match_one_row_calls(self, tiny_model, tiny_drafter):
+        """Three rows adapted in one cached call agree with three one-row calls
+        (to rounding: the two orders sum the attention differently)."""
+        h = np.random.default_rng(20).standard_normal((3, 16))
+        toks = [3, 7, 0]
+        rolled, batched = tiny_drafter.new_state(), tiny_drafter.new_state()
+        steps = [tiny_drafter.adapt(h[i : i + 1], toks[i : i + 1], rolled) for i in range(3)]
+        h1, h2 = tiny_drafter.adapt(h, toks, batched)
+        assert batched.kv1.length == batched.kv2.length == 3
+        assert np.abs(h1 - np.concatenate([s[0] for s in steps])).max() <= 1e-12
+        assert np.abs(h2 - np.concatenate([s[1] for s in steps])).max() <= 1e-12
 
     def test_token_out_of_range(self, tiny_model, tiny_drafter):
         state = tiny_drafter.new_state()
         with pytest.raises(IndexError):
-            tiny_drafter.adapt(rand_hidden(np.random.default_rng(2)), 999, state)
+            tiny_drafter.adapt(rand_hidden(np.random.default_rng(2))[None], [999], state)
 
     def test_zeroed_residual_branches_give_normalized_fc1(self, tiny_model):
         """With attention and FFN outputs forced to zero, the first adaptation
@@ -52,7 +64,7 @@ class TestAdapt:
         rng = np.random.default_rng(3)
         h = rand_hidden(rng)
         tok = 5
-        h1, _ = drafter.adapt(h, tok, state)
+        (h1,), _ = drafter.adapt(h[None], [tok], state)
 
         e = tiny_model.token_emb.data[tok]
         x = np.concatenate([h, e]) @ drafter.fc1.weight.data + drafter.fc1.bias.data
@@ -63,7 +75,7 @@ class TestAdapt:
     def test_one_layer_routes_both_from_single_sal(self, tiny_model):
         drafter = make_tiny_drafter(tiny_model, adaptation="one_layer")
         state = drafter.new_state()
-        h1, h2 = drafter.adapt(rand_hidden(np.random.default_rng(4)), 1, state)
+        h1, h2 = drafter.adapt(rand_hidden(np.random.default_rng(4))[None], [1], state)
         assert h1 is h2
         assert state.kv1.length == 1 and state.kv2.length == 0
         assert not hasattr(drafter, "sal2")
@@ -74,10 +86,10 @@ class TestAdapt:
         on = make_tiny_drafter(tiny_model, seed=seed)
         off = make_tiny_drafter(tiny_model, seed=seed, use_sampled_token=False)
         assert on.parameter_count() == off.parameter_count()
-        h = rand_hidden(np.random.default_rng(5))
-        out_on = on.adapt(h, 3, on.new_state())[0]
-        out_off = off.adapt(h, 3, off.new_state())[0]
-        out_off2 = off.adapt(h, 7, off.new_state())[0]
+        h = rand_hidden(np.random.default_rng(5))[None]
+        out_on = on.adapt(h, [3], on.new_state())[0]
+        out_off = off.adapt(h, [3], off.new_state())[0]
+        out_off2 = off.adapt(h, [7], off.new_state())[0]
         assert np.array_equal(out_off, out_off2)  # token no longer matters
         assert not np.array_equal(out_on, out_off)
 
@@ -216,7 +228,8 @@ class TestDraftComposition:
     def test_consecutive_drafts_match_uncached_recompute(self, tiny_model):
         """For every variant and a low-rank head: advancing the adaptation
         caches changes the output, and every tape-free cached draft step agrees
-        with the taped full-sequence ``sequence_logits`` at that position."""
+        with the taped full-sequence ``sequence_logits`` at that position, as
+        does the tape-free ``sequence_logits`` of the same sequence."""
         rng = np.random.default_rng(15)
         h_seq = rng.standard_normal((5, 16))
         toks = np.array([3, 7, 0, 23, 7])
@@ -230,11 +243,17 @@ class TestDraftComposition:
             with T.no_grad():
                 recomputed = drafter.sequence_logits(Tensor(h_seq), toks).data
             assert np.abs(recomputed - np.stack(steps)).max() <= 1e-12, (variant, rank)
+            tape_free = drafter.sequence_logits(h_seq, toks)
+            assert np.abs(recomputed - tape_free).max() <= 1e-12, (variant, rank)
 
     def test_nan_weight_raises_before_output(self, tiny_model, tiny_drafter):
+        """Both tape-free paths check their logits: a draft step, and the
+        teacher-forced evaluation of a held-out sequence."""
         tiny_drafter.sal2.ffn.w1.weight.data[0, 0] = np.nan
         with pytest.raises(NonFiniteError):
             tiny_drafter.draft(rand_hidden(np.random.default_rng(19)), 1, tiny_drafter.new_state())
+        with pytest.raises(NonFiniteError):
+            measure_head_accuracy([list(range(10))], tiny_model, tiny_drafter)
 
     def test_all_variants_constructible(self, tiny_model):
         base = DrafterConfig(sal_heads=2)
