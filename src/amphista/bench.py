@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
+from .configfile import check_positive
 from .corpus import CorpusSpec, make_corpus, make_prompts
 from .drafter import VARIANT_NAMES, Drafter, DrafterConfig, variant_config
 from .engine import (
@@ -71,12 +72,6 @@ class LosslessnessError(RuntimeError):
     """A greedy speculative run diverged from autoregressive decoding."""
 
 
-def _check_positive(config, *names: str) -> None:
-    for name in names:
-        if getattr(config, name) < 1:
-            raise ValueError(f"{name} must be >= 1, got {getattr(config, name)}")
-
-
 @dataclass
 class RunConfig:
     mode: str = "amphista"
@@ -94,7 +89,7 @@ class RunConfig:
             )
         if self.temperature < 0:
             raise ValueError(f"temperature must be >= 0, got {self.temperature:g}")
-        _check_positive(self, "n_prompts", "max_new_tokens")
+        check_positive(self, "n_prompts", "max_new_tokens")
 
 
 @dataclass
@@ -129,15 +124,15 @@ def promoted_copy(model32: TargetModel, config: ModelConfig, seed: int) -> Targe
     return model
 
 
-def pretrain_target(
-    model_config: ModelConfig, train_config: TrainConfig, corpus, seed: int, target_epochs: int = 8
-):
-    """Pretrain the target in f32 and return (f32 target, frozen; its f64 twin;
-    report). Training runs in f32 for speed and decoding in f64 for the exact
-    greedy-losslessness contract; drafters train against the f32 target."""
+def pretrain_target(model_config: ModelConfig, train_config: TrainConfig, corpus, seed: int):
+    """Pretrain the target in f32 for ``train_config.target_epochs`` and return
+    (f32 target, frozen; its f64 twin; report). Training runs in f32 for speed
+    and decoding in f64 for the exact greedy-losslessness contract; drafters
+    train against the f32 target."""
     with T.dtype_context(np.float32):
         model32 = build_model(model_config, seed)
-        report = train_target(corpus, model32, replace(train_config, epochs=target_epochs, seed=seed))
+        config = replace(train_config, epochs=train_config.target_epochs, seed=seed)
+        report = train_target(corpus, model32, config)
         model32.freeze()
     return model32, promoted_copy(model32, model_config, seed), report
 
@@ -192,14 +187,11 @@ def train_system(
     train_config: TrainConfig,
     corpus,
     seed: int,
-    target_epochs: int = 8,
     prompt_len: int = RunConfig.prompt_len,
 ):
     """Pretrain the target, then train the drafter on the target's own greedy
     continuations (``distill_corpus``); both come back in f64."""
-    model32, model, target_report = pretrain_target(
-        model_config, train_config, corpus, seed, target_epochs
-    )
+    model32, model, target_report = pretrain_target(model_config, train_config, corpus, seed)
     drafter_corpus = distill_corpus(model, corpus, prompt_len)
     drafter, report = train_drafter(
         drafter_config, train_config, drafter_corpus, model32, model, seed
@@ -263,23 +255,21 @@ def run_prompt_set(
     prompts: list[list[int]],
     ar_refs: list[GenerationResult] | None = None,
 ) -> tuple[MetricsReport, list[GenerationResult]]:
-    """Evaluate a prompt set; greedy speculative runs carry a losslessness flag
-    computed against a matching AR run (hard failure when it trips). Pass
-    precomputed ``ar_refs`` to share the AR baseline across many evaluations."""
+    """Evaluate a prompt set. A greedy speculative run checks every prompt
+    against a matching AR run (``LosslessnessError`` when one diverges), and
+    its report then reads lossless. Pass precomputed ``ar_refs`` to share the
+    AR baseline across many evaluations."""
     results = []
-    lossless: bool | None = None
+    checked = run.mode != "ar" and run.temperature == 0
     for i, prompt in enumerate(prompts):
         res = run_prompt(model, drafter, run, prompt, prompt_index=i)
-        if run.mode != "ar" and run.temperature == 0:
+        if checked:
             ref = (
                 ar_refs[i]
                 if ar_refs is not None
                 else ar_generate(model, prompt, run.max_new_tokens, 0.0, None)
             )
-            ok = ref.tokens == res.tokens
-            res.lossless = ok
-            lossless = ok if lossless is None else (lossless and ok)
-            if not ok:
+            if ref.tokens != res.tokens:
                 raise LosslessnessError(
                     f"greedy {run.mode} run diverged from AR decoding on prompt {i}"
                 )
@@ -295,7 +285,7 @@ def run_prompt_set(
         total_steps=total_steps,
         total_tokens=total_tokens,
         tokens_per_step=total_tokens / total_steps if total_steps else 0.0,
-        lossless=lossless,
+        lossless=True if checked else None,
     )
     return report, results
 
@@ -562,12 +552,11 @@ class AblationConfig:
     prompt_len: int = 12
     max_new_tokens: int = 24
     topology: str = "cart45"
-    target_epochs: int = 8
 
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("seeds must list at least one seed")
-        _check_positive(self, "n_eval_prompts", "max_new_tokens")
+        check_positive(self, "n_eval_prompts", "max_new_tokens")
 
 
 @dataclass
@@ -597,9 +586,7 @@ def run_ablation_suite(
     for seed in ablation.seeds:
         corpus = make_corpus(corpus_spec, seed)
         prompts = make_prompts(corpus_spec, seed, ablation.n_eval_prompts, ablation.prompt_len)
-        model32, model, _ = pretrain_target(
-            model_config, train_config, corpus, seed, ablation.target_epochs
-        )
+        model32, model, _ = pretrain_target(model_config, train_config, corpus, seed)
         drafter_corpus = distill_corpus(model, corpus, ablation.prompt_len)
 
         run_ar = RunConfig(mode="ar", max_new_tokens=ablation.max_new_tokens, seed=seed)

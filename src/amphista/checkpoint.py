@@ -10,7 +10,8 @@ Layout (all integers little-endian):
             u8 ndim, u32 * ndim extents,
             raw little-endian float payload
 
-Round-trips are bit-exact; loading verifies magic and version.
+Round-trips are bit-exact; loading verifies magic and version and that
+the last entry ends the bytes.
 """
 
 from __future__ import annotations
@@ -86,6 +87,9 @@ def load_state(blob: bytes) -> dict[str, np.ndarray]:
             state[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
     except (struct.error, UnicodeDecodeError) as err:
         raise CheckpointError(f"malformed after {len(state)} complete entries: {err}") from err
+    unread = len(blob) - buf.tell()
+    if unread:
+        raise CheckpointError(f"{unread} unread bytes after the last of {count} entries")
     return state
 
 

@@ -48,8 +48,7 @@ from .speculation import TopologyError, format_topology
 from .training import TrainConfig, split_corpus
 
 
-# The config classes that read keys, by key prefix; ``cmd_train`` also reads
-# ``target_epochs``.
+# The config classes that read keys, by key prefix.
 _CONFIG_SECTIONS = (
     ("", ModelConfig),
     ("", DrafterConfig),
@@ -64,7 +63,7 @@ def _load_raw(path: str | None) -> dict[str, str]:
     """The file's key=value pairs; a key that no config reads is an error."""
     raw = load_config(path) if path else {}
     known = {prefix + f.name for prefix, cls in _CONFIG_SECTIONS for f in fields(cls)}
-    stray = sorted(set(raw) - known - {"target_epochs"})
+    stray = sorted(set(raw) - known)
     if stray:
         raise ConfigError(f"{path}: unknown key(s) {', '.join(stray)}; no config reads them")
     return raw
@@ -136,32 +135,28 @@ def _build_system(args, model_cfg, drafter_cfg, run_cfg):
 
 
 def cmd_train(args) -> int:
-    raw, model_cfg, drafter_cfg, train_cfg, corpus_spec, run_cfg = _build_configs(args)
+    _, model_cfg, drafter_cfg, train_cfg, corpus_spec, run_cfg = _build_configs(args)
     out = _outdir(args)
-    target_epochs = int(raw.get("target_epochs", "8"))
+    drafter_cfg = _variant_for_mode(run_cfg.mode, drafter_cfg)
     seed = train_cfg.seed
 
     corpus = make_corpus(corpus_spec, seed)
     model, drafter, report, target_report = train_system(
-        model_cfg,
-        _variant_for_mode(run_cfg.mode, drafter_cfg),
-        train_cfg,
-        corpus,
-        seed,
-        target_epochs=target_epochs,
-        prompt_len=run_cfg.prompt_len,
+        model_cfg, drafter_cfg, train_cfg, corpus, seed, prompt_len=run_cfg.prompt_len
     )
 
     state = model.state_dict(prefix="target.")
     state.update(drafter.state_dict(prefix="drafter."))
     save_checkpoint(out / "checkpoint.bin", state)
     report.to_csv(out / "train_report.csv")
+    # every key train reads (run_cfg for prompt_len and mode), so the file reruns it
     dump_config(
         [
             ("", model_cfg),
-            ("", _variant_for_mode(run_cfg.mode, drafter_cfg)),
+            ("", drafter_cfg),
             ("", train_cfg),
             ("corpus_", corpus_spec),
+            ("", run_cfg),
         ],
         out / "config_used.cfg",
     )

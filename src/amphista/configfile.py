@@ -20,6 +20,13 @@ class ConfigError(ValueError):
     pass
 
 
+def check_positive(config, *names: str) -> None:
+    """For a dataclass's ``__post_init__``: each named count must be >= 1."""
+    for name in names:
+        if getattr(config, name) < 1:
+            raise ValueError(f"{name} must be >= 1, got {getattr(config, name)}")
+
+
 def parse_config(text: str) -> dict[str, str]:
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):

@@ -1,6 +1,7 @@
-"""Decoding loops: plain autoregressive generation and the speculate-verify
-loop (draft -> tree forward -> verify -> commit), with per-step event records
-so every throughput metric can be recomputed from the raw log.
+"""Decoding: one speculate-verify loop (draft -> tree forward -> verify ->
+commit), with per-step event records so every throughput metric can be
+recomputed from the raw log. Plain autoregressive generation is that loop
+without a drafter session: every round is its 1-token step.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ class GenerationResult:
     events: list[StepEvent] = field(default_factory=list)
     emitted_raw: int = 0  # pre-trim count (whole verification rounds)
     wall_time: float = 0.0
-    lossless: bool | None = None
 
     @property
     def steps(self) -> int:
@@ -124,27 +124,10 @@ def ar_generate(
     temperature: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> GenerationResult:
-    """Token-at-a-time baseline; tokens_per_step is 1 by construction."""
-    _check_budget(model, prompt, max_new_tokens)
-    start = time.perf_counter()
-    cache = model.new_cache()
-    out = model.forward(prompt, cache)
-    tok = sample(out.logits.data[-1], temperature, rng)
-    new = [tok]
-    events = []
-    step = 0
-    while len(new) < max_new_tokens:
-        step += 1
-        out = model.forward([tok], cache)
-        tok = sample(out.logits.data[-1], temperature, rng)
-        new.append(tok)
-        events.append(StepEvent(step=step, nodes=1, accepted_len=0, bonus=tok))
-    return GenerationResult(
-        prompt_len=len(prompt),
-        tokens=new[:max_new_tokens],
-        events=events,
-        emitted_raw=len(new),
-        wall_time=time.perf_counter() - start,
+    """Token-at-a-time baseline: ``speculative_generate`` without a drafter
+    session, so every round is a 1-token step; tokens_per_step is 1."""
+    return speculative_generate(
+        model, None, prompt, None, max_new_tokens, temperature=temperature, rng=rng
     )
 
 
@@ -152,7 +135,7 @@ def speculative_generate(
     model: TargetModel,
     session,
     prompt: list[int],
-    topology: TreeTopology,
+    topology: TreeTopology | None,
     max_new_tokens: int,
     rule: str = "greedy",
     temperature: float = 0.0,
@@ -161,12 +144,13 @@ def speculative_generate(
     """Speculate-verify decoding; greedy rule emits exactly the AR sequence.
     The chain rule samples its tokens onto ``topology``, which must be a chain.
 
-    Rounds whose tree would not fit in the context window become 1-token
-    target steps, so a request that passes the up-front budget check always
-    finishes.
+    A round is a 1-token target step when there is no ``session`` (AR
+    decoding; ``topology`` and ``rule`` are then unused) or when its tree
+    would not fit in the context window, so a request that passes the
+    up-front budget check always finishes.
     """
     _check_budget(model, prompt, max_new_tokens)
-    if topology.depth_max != session.depth:
+    if session is not None and topology.depth_max != session.depth:
         raise EngineError(
             f"topology depth {topology.depth_max} != drafter depth {session.depth}"
         )
@@ -181,7 +165,7 @@ def speculative_generate(
     while len(new) < max_new_tokens:
         step += 1
         base = cache.length
-        if base + topology.node_count > model.config.max_seq_len:
+        if session is None or base + topology.node_count > model.config.max_seq_len:
             # The window only fills up, so no later round drafts again.
             out = model.forward([tok], cache)
             tok = sample(out.logits.data[-1], temperature, rng)

@@ -1,8 +1,9 @@
 """Frozen-able causal decoder target model with KV caching and tree-masked decoding.
 
-``forward`` (cached decoding) runs tape-free on plain arrays; ``forward_batch``
-(training, and the reference the cached path is tested against) runs on the
-autodiff tape."""
+``forward`` (cached decoding) runs tape-free on plain arrays. ``forward_batch``
+(whole sequences, no cache) runs on the autodiff tape only while a parameter
+requires grad: when the target itself trains, and for the unfrozen reference
+the cached path is tested against. A frozen target runs it tape-free."""
 
 from __future__ import annotations
 
@@ -121,8 +122,7 @@ class TargetModel(Module):
         token j iff mask[i][j]; the mask must be lower-triangular (j <= i, as
         ``build_mask`` makes it) and ``positions`` must then be supplied.
 
-        Runs tape-free; ``hidden`` and ``logits`` are each wrapped in a
-        ``Tensor`` once, which raises ``NonFiniteError`` on NaN or Inf.
+        Runs tape-free (see ``_output`` for the NaN/Inf check).
         """
         tokens = np.asarray(tokens, dtype=np.int64)
         n = tokens.shape[0] if tokens.ndim else 0
@@ -156,11 +156,13 @@ class TargetModel(Module):
         x = T.lookup(self.token_emb.data, tokens) + T.lookup(self.pos_emb.data, positions)
         for layer, kv in zip(self.layers, cache.layers):
             x = layer(x, cache=kv, mask_bias=bias, causal=mask is None)
-        hidden = self.final_norm(x)
-        return TargetOutput(hidden=Tensor(hidden), logits=Tensor(self.lm_head(hidden)))
+        return self._output(self.final_norm(x))
 
     def forward_batch(self, tokens: np.ndarray) -> TargetOutput:
-        """Causal full-sequence forward over [B, T] token ids (no cache)."""
+        """Causal full-sequence forward over [B, T] token ids (no cache).
+
+        On the tape while any parameter requires grad; otherwise (a frozen
+        target) tape-free through the same layers, as ``forward`` runs."""
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim != 2 or tokens.shape[1] == 0:
             raise DimensionError("forward_batch requires a [B, T] token array")
@@ -168,11 +170,21 @@ class TargetModel(Module):
         if t > self.config.max_seq_len:
             raise DimensionError("sequence longer than max_seq_len")
         positions = np.arange(t)
-        x = T.add(T.embedding(self.token_emb, tokens), T.embedding(self.pos_emb, positions))
+        if any(p.requires_grad for p in self.parameters()):
+            x = T.add(T.embedding(self.token_emb, tokens), T.embedding(self.pos_emb, positions))
+        else:
+            x = T.lookup(self.token_emb.data, tokens) + T.lookup(self.pos_emb.data, positions)
         for layer in self.layers:
             x = layer(x, causal=True)
-        hidden = self.final_norm(x)
-        return TargetOutput(hidden=hidden, logits=self.lm_head(hidden))
+        return self._output(self.final_norm(x))
+
+    def _output(self, hidden) -> TargetOutput:
+        """The LM head over ``hidden``; array outputs are each wrapped in a
+        ``Tensor`` once, which raises ``NonFiniteError`` on NaN or Inf."""
+        logits = self.lm_head(hidden)
+        if isinstance(hidden, Tensor):
+            return TargetOutput(hidden=hidden, logits=logits)
+        return TargetOutput(hidden=Tensor(hidden), logits=Tensor(logits))
 
 
 def sample(logits, temperature: float, rng: np.random.Generator | None = None) -> int:

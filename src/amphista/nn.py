@@ -232,7 +232,8 @@ class SelfAttention(Module):
         self.wv = Linear(dim, dim, rng, bias=False)
         self.wo = Linear(dim, dim, rng, bias=False)
         self._n_heads = n_heads
-        self._scale = 1.0 / np.sqrt(dim // n_heads)
+        # a Python float scales an f32 array in f32, as the taped path does
+        self._scale = float(1.0 / np.sqrt(dim // n_heads))
 
     def __call__(
         self,

@@ -4,6 +4,9 @@ decoupled-weight-decay adaptive optimizer, warmup + cosine schedule.
 The adaptation layers train with full-sequence causal attention (teacher
 forcing: the sampled-token input is the ground-truth next token), which is
 step-for-step equivalent to the cached inference computation.
+``teacher_forced`` runs the frozen target once per batch, off the tape, for
+both training and evaluation; only the drafter (and, in ``train_target``, the
+target being pretrained) runs on the tape.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
+from .configfile import check_positive
 from .drafter import Drafter
 from .model import TargetModel
 from .tensor import Parameter, Tensor
@@ -140,6 +144,10 @@ class TrainConfig:
     seed: int = 0
     lambda1: float = 1.0
     lambda2: float = 1.0
+    target_epochs: int = 8  # the target's pretraining, before the drafter's epochs
+
+    def __post_init__(self):
+        check_positive(self, "epochs", "batch_size", "target_epochs")
 
 
 @dataclass
@@ -192,25 +200,33 @@ def _as_token_matrix(sequences: list[list[int]]) -> np.ndarray:
     return np.asarray(sequences, dtype=np.int64)
 
 
-def batch_draft_logits(model: TargetModel, drafter: Drafter, tokens: np.ndarray):
-    """Teacher-forced forward: returns (d_logits [B,T',K,V], target_logits, gt).
+def teacher_forced(model: TargetModel, tokens: np.ndarray, k: int):
+    """The frozen target's teacher-forced view of [B, T] ``tokens`` for K
+    heads: (hidden [B, T-1, d], target logits [B, T', K, V], tokens [B, T', K]).
 
-    T' excludes the trailing positions that lack a full K-token future.
-    """
-    k = drafter.config.K
-    b, t = tokens.shape
-    t_valid = t - k - 1
+    Hidden row t, with token t+1, is what the heads draft from there. The
+    T' = T-K-1 positions are those with a full K-token future; at each, head
+    k's window holds the target's logits for, and the token at, position
+    t+2+k."""
+    t_valid = tokens.shape[1] - k - 1
     if t_valid < 1:
-        raise TrainingError(f"sequences of length {t} are shorter than K+2={k + 2} tokens")
-    with T.no_grad():
-        out = model.forward_batch(tokens)
-    hidden = Tensor(out.hidden.data[:, : t - 1])
-    d_logits_full = drafter.sequence_logits(hidden, tokens[:, 1:])
-    d_logits = T.narrow(d_logits_full, 1, 0, t_valid)
-    logits_np = out.logits.data
-    target_logits = np.stack([logits_np[:, 1 + i : 1 + i + t_valid] for i in range(k)], axis=2)
-    gt = np.stack([tokens[:, 2 + i : 2 + i + t_valid] for i in range(k)], axis=2)
-    return d_logits, target_logits, gt
+        raise TrainingError(
+            f"sequences of length {tokens.shape[1]} are shorter than K+2={k + 2} tokens"
+        )
+    out = model.forward_batch(tokens)
+
+    def windows(a, start):
+        return np.stack([a[:, start + i : start + i + t_valid] for i in range(k)], axis=2)
+
+    return out.hidden.data[:, :-1], windows(out.logits.data, 1), windows(tokens, 2)
+
+
+def batch_draft_logits(model: TargetModel, drafter: Drafter, tokens: np.ndarray):
+    """Teacher-forced forward: returns (d_logits [B,T',K,V], target_logits, gt),
+    the draft logits on the tape."""
+    hidden, target_logits, gt = teacher_forced(model, tokens, drafter.config.K)
+    d_logits = drafter.sequence_logits(Tensor(hidden), tokens[:, 1:])
+    return T.narrow(d_logits, 1, 0, gt.shape[1]), target_logits, gt
 
 
 def split_corpus(sequences: list[list[int]], held_out_frac: float = 0.1):
@@ -293,24 +309,14 @@ def train(
     return report
 
 
-def _teacher_forced(model: TargetModel, drafter: Drafter, seq) -> tuple[np.ndarray, ...]:
-    """One sequence, evaluated tape-free: the draft logits [T', K, V] at every
-    position with a full K-token future, and the tokens [T', K] each head
-    should name there: the sequence's own, and the target's teacher-forced
-    greedy ones (what greedy verification accepts)."""
-    tokens = np.asarray(seq, dtype=np.int64)
-    k = drafter.config.K
-    t_valid = len(tokens) - k - 1
-    if t_valid < 1:
-        raise TrainingError(f"sequence of length {len(tokens)} is shorter than K+2={k + 2} tokens")
-    with T.no_grad():
-        out = model.forward_batch(tokens[None, :])
+def _eval_draft_logits(model: TargetModel, drafter: Drafter, seq) -> tuple[np.ndarray, ...]:
+    """One sequence, tape-free: its draft logits [T', K, V], then its
+    ``teacher_forced`` target logits [T', K, V] and tokens [T', K]."""
+    tokens = np.asarray(seq, dtype=np.int64)[None]
+    hidden, target_logits, gt = teacher_forced(model, tokens, drafter.config.K)
     # wrapped once for its NaN/Inf check
-    d_logits = Tensor(drafter.sequence_logits(out.hidden.data[0, :-1], tokens[1:])).data
-    greedy = out.logits.data[0].argmax(axis=-1)
-    corpus = np.stack([tokens[2 + i : 2 + i + t_valid] for i in range(k)], axis=1)
-    target = np.stack([greedy[1 + i : 1 + i + t_valid] for i in range(k)], axis=1)
-    return d_logits[:t_valid], corpus, target
+    d_logits = Tensor(drafter.sequence_logits(hidden[0], tokens[0, 1:])).data
+    return d_logits[: gt.shape[1]], target_logits[0], gt[0]
 
 
 def measure_head_accuracy(
@@ -323,7 +329,7 @@ def measure_head_accuracy(
     token at t+1+k ranks in its top n. Returns one list per requested n."""
     hits, total = 0, 0
     for seq in corpus_sequences(sequences):
-        d_logits, corpus, _ = _teacher_forced(model, drafter, seq)
+        d_logits, _, corpus = _eval_draft_logits(model, drafter, seq)
         order = np.argsort(-d_logits, axis=-1, kind="stable")
         hits = hits + np.stack(
             [(order[..., :n] == corpus[..., None]).any(axis=-1).sum(axis=0) for n in top_ns]
@@ -340,7 +346,8 @@ def measure_greedy_top1(
     token greedy verification accepts there."""
     hits, total = 0, 0
     for seq in sequences:
-        d_logits, _, target = _teacher_forced(model, drafter, seq)
+        d_logits, target_logits, _ = _eval_draft_logits(model, drafter, seq)
+        target = target_logits.argmax(axis=-1)
         hits = hits + (d_logits.argmax(axis=-1) == target).sum(axis=0)
         total += len(target)
     return (hits / total).tolist()

@@ -376,14 +376,13 @@ def small_ablation_setup():
     return (
         SMALL_MODEL,
         DrafterConfig(sal_heads=2),
-        TrainConfig(epochs=1, batch_size=8),
+        TrainConfig(epochs=1, batch_size=8, target_epochs=1),
         CorpusSpec(vocab=16, n_sequences=16, seq_len=20),
         AblationConfig(
             seeds=(0,),
             n_eval_prompts=3,
             prompt_len=6,
             max_new_tokens=10,
-            target_epochs=1,
         ),
     )
 
@@ -456,7 +455,7 @@ class TestSelfDistillation:
 
         monkeypatch.setattr(bench, "train", fake_train)
         model, _, _, _ = train_system(
-            model_cfg, drafter_cfg, train_cfg, corpus, seed=4, target_epochs=1, prompt_len=5
+            model_cfg, drafter_cfg, train_cfg, corpus, seed=4, prompt_len=5
         )
         (handed,) = seen
         train_seqs, held_seqs = split_corpus(corpus.sequences)

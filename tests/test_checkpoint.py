@@ -59,6 +59,14 @@ class TestValidation:
             with pytest.raises(CheckpointError):
                 load_state(blob[:end])
 
+    def test_trailing_bytes(self):
+        """Bytes after the last entry, two checkpoints back to back included,
+        are rejected with their count."""
+        blob = dump_state(random_state())
+        for tail, unread in ((b"garbage!", 8), (blob, len(blob))):
+            with pytest.raises(CheckpointError, match=f"^{unread} unread bytes"):
+                load_state(blob + tail)
+
     def test_rejects_non_utf8_name(self):
         blob = dump_state({"ab": np.ones(2)})
         with pytest.raises(CheckpointError, match="after 0 complete entries: 'utf-8'"):

@@ -48,9 +48,17 @@ def trained_dir(tiny_cfg, tmp_path_factory):
 
 
 class TestCommands:
-    def test_train_outputs(self, trained_dir):
+    def test_train_outputs(self, tiny_cfg, trained_dir):
         for name in ("checkpoint.bin", "train_report.csv", "config_used.cfg"):
             assert (trained_dir / name).exists()
+        # config_used.cfg coerces back to every config train used, so it reruns the run
+        def configs(path, seed):
+            args = argparse.Namespace(
+                config=str(path), seed=seed, mode=None, temperature=None, topology=None
+            )
+            return _build_configs(args)[1:]
+
+        assert configs(trained_dir / "config_used.cfg", None) == configs(tiny_cfg, 1)
 
     def test_generate_with_prompt(self, tiny_cfg, trained_dir, tmp_path):
         rc = main(
@@ -276,16 +284,26 @@ class TestNamedErrors:
                 "ablation_n_eval_prompts=0\n",
                 "AblationConfig: n_eval_prompts must be >= 1, got 0",
             ),
+            ("train", [], "epochs=0\n", "TrainConfig: epochs must be >= 1, got 0"),
+            ("train", [], "batch_size=0\n", "TrainConfig: batch_size must be >= 1, got 0"),
+            (
+                "train",
+                [],
+                "target_epochs=abc\n",
+                "TrainConfig: target_epochs='abc': invalid literal for int()",
+            ),
+            ("train", [], "target_epochs=0\n", "TrainConfig: target_epochs must be >= 1, got 0"),
         ],
     )
     def test_rejected_config_value_before_building(
         self, tiny_cfg, tmp_path, capsys, monkeypatch, command, flags, extra_cfg, named
     ):
-        def unreachable(*args):
+        def unreachable(*args, **kwargs):
             raise AssertionError("work began before the config was checked")
 
         monkeypatch.setattr(cli, "_build_system", unreachable)
         monkeypatch.setattr(cli, "run_ablation_suite", unreachable)
+        monkeypatch.setattr(cli, "train_system", unreachable)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(TINY + extra_cfg)
         argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out"), *flags]

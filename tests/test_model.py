@@ -103,6 +103,9 @@ class TestForward:
         model.layers[1].ffn.w1.weight.data[3, 5] = np.nan
         with pytest.raises(NonFiniteError):
             model.forward([1, 2, 3], model.new_cache())
+        model.freeze()
+        with pytest.raises(NonFiniteError):
+            model.forward_batch(np.array([[1, 2, 3]]))
 
     def test_token_out_of_range(self):
         model = make_tiny_model()
@@ -154,6 +157,37 @@ class TestForward:
         for b in range(2):
             single = model.forward(list(tokens[b]), model.new_cache())
             assert_parity(single, batch.hidden.data[b], batch.logits.data[b])
+
+    @pytest.mark.parametrize(
+        "dtype, shape",
+        [
+            (np.float32, (4, 40)),
+            (np.float64, (4, 40)),
+            (np.float32, (1, BLOCK)),
+            (np.float64, (1, BLOCK)),
+            (np.float64, (2, BLOCK + 1)),
+        ],
+    )
+    def test_frozen_forward_batch_is_tape_free_and_matches_the_tape(
+        self, monkeypatch, dtype, shape
+    ):
+        """A frozen target runs forward_batch through no taped op; up to one
+        BLOCK it gives the bits of its unfrozen twin's taped forward_batch."""
+        config = replace(TINY_MODEL, max_seq_len=2 * BLOCK)
+        with T.dtype_context(dtype):
+            taped, frozen = make_tiny_model(config=config), make_tiny_model(config=config)
+        frozen.freeze()
+        tokens = np.random.default_rng(shape[1]).integers(0, 24, size=shape)
+        want = taped.forward_batch(tokens)
+        assert want.logits.requires_grad
+        monkeypatch.setattr(T, "_result", None)  # every taped op builds its output here
+        got = frozen.forward_batch(tokens)
+        for a, b in ((want.hidden, got.hidden), (want.logits, got.logits)):
+            assert b.data.dtype == dtype and b.shape == a.shape
+            if shape[1] <= BLOCK:
+                assert np.array_equal(a.data, b.data)
+            else:
+                assert np.abs(a.data - b.data).max() <= PARITY
 
     def test_logits_are_lm_head_of_hidden(self):
         model = make_tiny_model()
