@@ -11,6 +11,7 @@ the determinism contract.
 from __future__ import annotations
 
 import csv
+import math
 import statistics
 import time
 from dataclasses import dataclass, replace
@@ -87,9 +88,9 @@ class RunConfig:
             raise ValueError(
                 f"unknown mode {self.mode!r}; expected 'ar' or one of {SPECULATIVE_MODES}"
             )
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature:g}")
-        check_positive(self, "n_prompts", "max_new_tokens")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be >= 0 and finite, got {self.temperature:g}")
+        check_positive(self, "n_prompts", "max_new_tokens", "prompt_len")
 
 
 @dataclass

@@ -136,6 +136,11 @@ def _build_system(args, model_cfg, drafter_cfg, run_cfg):
 
 def cmd_train(args) -> int:
     _, model_cfg, drafter_cfg, train_cfg, corpus_spec, run_cfg = _build_configs(args)
+    if run_cfg.prompt_len >= corpus_spec.seq_len:
+        raise ConfigError(
+            f"prompt_len {run_cfg.prompt_len} must be < corpus_seq_len {corpus_spec.seq_len}: "
+            "the drafter trains on each corpus sequence continued after its prompt"
+        )
     out = _outdir(args)
     drafter_cfg = _variant_for_mode(run_cfg.mode, drafter_cfg)
     seed = train_cfg.seed
@@ -192,7 +197,10 @@ def cmd_generate(args) -> int:
     write_metrics_csv(out / "generate.csv", [report])
     text = detokenize(results[0].tokens).decode("utf-8", errors="backslashreplace")
     print(f"prompt tokens: {len(prompt)}  new tokens: {len(results[0].tokens)}")
-    print(f"tokens/step: {report.tokens_per_step:.3f}  (mode={run_cfg.mode})")
+    if report.total_steps:
+        print(f"tokens/step: {report.tokens_per_step:.3f}  (mode={run_cfg.mode})")
+    else:
+        print(f"tokens/step: n/a, the prefill emitted every token  (mode={run_cfg.mode})")
     print("output:", text)
     return 0
 

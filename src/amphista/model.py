@@ -80,8 +80,12 @@ class KVCache:
 
 @dataclass
 class TargetOutput:
-    hidden: Tensor  # [n_new, d] (or [B, T, d] from forward_batch)
-    logits: Tensor  # [n_new, V]
+    """Rows of the final hidden state and logits: the last new token's from a
+    causal ``forward`` ([1, d], [1, V]), every node's from a tree-masked one
+    ([n_new, ...]), every position's from ``forward_batch`` ([B, T, ...])."""
+
+    hidden: Tensor
+    logits: Tensor
 
 
 class TargetModel(Module):
@@ -115,12 +119,16 @@ class TargetModel(Module):
         mask: np.ndarray | None = None,
         positions=None,
     ) -> TargetOutput:
-        """Extend ``cache`` with ``tokens`` and return their hidden states and logits.
+        """Extend ``cache`` with ``tokens`` and return hidden states and logits.
 
-        Without a mask, attention is causal over cache + new tokens. With a
-        (square, boolean) tree mask, new token i additionally attends to new
-        token j iff mask[i][j]; the mask must be lower-triangular (j <= i, as
-        ``build_mask`` makes it) and ``positions`` must then be supplied.
+        Without a mask, attention is causal over cache + new tokens, and only
+        the last new token's row is returned ([1, d] and [1, V]); the last
+        layer runs its queries, FFN and the LM head for that row alone, and
+        still caches every new token's keys and values. With a (square,
+        boolean) tree mask, every new token's row is returned: new token i
+        additionally attends to new token j iff mask[i][j]; the mask must be
+        lower-triangular (j <= i, as ``build_mask`` makes it) and
+        ``positions`` must then be supplied.
 
         Runs tape-free (see ``_output`` for the NaN/Inf check).
         """
@@ -154,8 +162,10 @@ class TargetModel(Module):
 
         bias = None if mask is None else tree_mask_bias(mask, self.token_emb.data.dtype)
         x = T.lookup(self.token_emb.data, tokens) + T.lookup(self.pos_emb.data, positions)
-        for layer, kv in zip(self.layers, cache.layers):
-            x = layer(x, cache=kv, mask_bias=bias, causal=mask is None)
+        causal = mask is None
+        for i, (layer, kv) in enumerate(zip(self.layers, cache.layers)):
+            last_rows = 1 if causal and i == len(self.layers) - 1 else None
+            x = layer(x, cache=kv, mask_bias=bias, causal=causal, last_rows=last_rows)
         return self._output(self.final_norm(x))
 
     def forward_batch(self, tokens: np.ndarray) -> TargetOutput:

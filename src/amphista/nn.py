@@ -126,11 +126,12 @@ def silu(x):
     """x * sigmoid(x) on a Tensor (taped) or on an array."""
     if isinstance(x, Tensor):
         return T.silu(x)
-    # T.silu's sigmoid bit for bit, with one exp: exp(min(x, 0)) is exp(-|x|) if x < 0, else 1
+    # T.silu's sigmoid bit for bit, with one exp: exp(min(x, 0)) is exp(-|x|) if x < 0, else 1;
+    # e = exp(-|x|) <= 1, so the max picks e where x < 0 and 1 elsewhere, without a branch
     e = np.abs(x)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.where(x < 0, e, 1.0)
+    out = np.maximum(e, x >= 0)
     e += 1.0
     out /= e
     out *= x
@@ -222,6 +223,9 @@ class SelfAttention(Module):
     ``mask_bias`` is an additive [T, T] mask over the new tokens' own keys; on
     the array path it must be lower-triangular (no new token sees a later one).
     Keys already in ``cache`` (array input only) are visible to every query.
+    ``last_rows`` (array input only) computes the output of just the last
+    ``last_rows`` new tokens, [..., last_rows, d]; every new token's key and
+    value still enter ``cache``.
     """
 
     def __init__(self, dim: int, n_heads: int, rng: np.random.Generator):
@@ -241,11 +245,12 @@ class SelfAttention(Module):
         cache: LayerKV | None = None,
         mask_bias: np.ndarray | None = None,
         causal: bool = False,
+        last_rows: int | None = None,
     ):
         if isinstance(x, np.ndarray):
-            return self._attend(x, cache, mask_bias, causal)
-        if cache is not None:
-            raise TypeError("cached attention takes an np.ndarray input, not a Tensor")
+            return self._attend(x, cache, mask_bias, causal, last_rows)
+        if cache is not None or last_rows is not None:
+            raise TypeError("cached or last-row attention takes an np.ndarray input, not a Tensor")
         if causal:
             mask_bias = causal_mask_bias(x.shape[-2], x.data.dtype)
         q = _split_heads(self.wq(x), self._n_heads)
@@ -261,15 +266,20 @@ class SelfAttention(Module):
         out = _merge_heads(T.matmul(probs, v))
         return self.wo(out)
 
-    def _attend(self, x: np.ndarray, cache: LayerKV | None, mask_bias, causal) -> np.ndarray:
-        """Attention in blocks of ``BLOCK`` query rows. Under a mask, block
+    def _attend(
+        self, x: np.ndarray, cache: LayerKV | None, mask_bias, causal, last_rows
+    ) -> np.ndarray:
+        """Attention in blocks of ``BLOCK`` query rows, over the query rows
+        [t0, T) (all of them unless ``last_rows``). Under a mask, block
         [s0, e) scores only keys [0, base + e): every later key is masked, so
         skipping it drops only exact zeros from each softmax row. A causal
         block adds just its diagonal [s0:e, s0:e] part of the mask; the rest
         of its row is 0. With T <= BLOCK the loop runs once over every key."""
         *lead, t, d = x.shape
-        split = (*lead, t, self._n_heads, d // self._n_heads)
-        q, k, v = (proj(x).reshape(split) for proj in (self.wq, self.wk, self.wv))
+        t0 = 0 if last_rows is None else t - last_rows
+        split = (*lead, -1, self._n_heads, d // self._n_heads)
+        q = self.wq(x[..., t0:, :]).reshape(split)
+        k, v = (proj(x).reshape(split) for proj in (self.wk, self.wv))
         if cache is not None:
             if lead:
                 raise DimensionError("cached attention expects an unbatched [T, d] input")
@@ -280,10 +290,10 @@ class SelfAttention(Module):
         base = n_keys - t  # cached keys
         diagonal = causal_mask_bias(BLOCK, x.dtype) if causal and t > 1 else None
         blocks = []
-        for s0 in range(0, t, BLOCK):
+        for s0 in range(t0, t, BLOCK):
             e = min(s0 + BLOCK, t)
             end = base + e if causal or mask_bias is not None else n_keys
-            scores = q[..., s0:e, :] @ k[..., :end, :].swapaxes(-1, -2)
+            scores = q[..., s0 - t0 : e - t0, :] @ k[..., :end, :].swapaxes(-1, -2)
             scores *= self._scale
             if diagonal is not None:
                 scores[..., base + s0 :] += diagonal[: e - s0, : e - s0]
@@ -294,7 +304,7 @@ class SelfAttention(Module):
             scores /= scores.sum(axis=-1, keepdims=True)
             blocks.append(scores @ v[..., :end, :])
         out = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-2)
-        return self.wo(out.swapaxes(-3, -2).reshape(*lead, t, d))
+        return self.wo(out.swapaxes(-3, -2).reshape(*lead, t - t0, d))
 
 
 class FeedForward(Module):
@@ -311,7 +321,8 @@ class TransformerLayer(Module):
 
     ``out_norm=True`` adds a final normalization, used where a single layer
     stands alone (adaptation layers, encoder stacks) rather than inside a deep
-    stack with one shared final norm.
+    stack with one shared final norm. ``last_rows`` (array input only)
+    returns just the last rows, as ``SelfAttention`` computes them.
     """
 
     def __init__(
@@ -334,8 +345,12 @@ class TransformerLayer(Module):
         cache: LayerKV | None = None,
         mask_bias: np.ndarray | None = None,
         causal: bool = False,
+        last_rows: int | None = None,
     ):
-        h = x + self.attn(self.norm1(x), cache=cache, mask_bias=mask_bias, causal=causal)
+        a = self.attn(
+            self.norm1(x), cache=cache, mask_bias=mask_bias, causal=causal, last_rows=last_rows
+        )
+        h = x + a if last_rows is None else x[..., -last_rows:, :] + a
         h = h + self.ffn(self.norm2(h))
         if self.out_norm is not None:
             h = self.out_norm(h)

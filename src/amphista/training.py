@@ -35,8 +35,9 @@ class LossWeights:
     lambda2: float = 1.0  # ground-truth language-modeling term
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0 or self.lambda1 + self.lambda2 <= 0:
-            raise ValueError("loss weights must be non-negative and not both zero")
+        weights = (self.lambda1, self.lambda2)
+        if not all(0 <= w < math.inf for w in weights) or sum(weights) <= 0:
+            raise ValueError("loss weights must be finite, non-negative and not both zero")
 
 
 def compute_losses(
@@ -148,6 +149,9 @@ class TrainConfig:
 
     def __post_init__(self):
         check_positive(self, "epochs", "batch_size", "target_epochs")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr:g}")
+        LossWeights(self.lambda1, self.lambda2)  # checked here, before any training
 
 
 @dataclass

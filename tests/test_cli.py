@@ -69,6 +69,18 @@ class TestCommands:
         assert (tmp_path / "events.log").exists()
         assert (tmp_path / "generate.csv").exists()
 
+    def test_generate_one_token_reports_no_decode_step(
+        self, tiny_cfg, trained_dir, tmp_path, capsys
+    ):
+        rc = main(
+            ["generate", "--config", tiny_cfg, "--seed", "1", "--out", str(tmp_path),
+             "--ckpt", str(trained_dir / "checkpoint.bin"), "--max-new-tokens", "1"]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "new tokens: 1" in out
+        assert "tokens/step: n/a, the prefill emitted every token" in out
+
     def test_bench_vanilla_chain_sampling(self, tiny_cfg, trained_dir, tmp_path):
         rc = main(
             ["bench", "--config", tiny_cfg, "--seed", "2", "--out", str(tmp_path),
@@ -293,6 +305,16 @@ class TestNamedErrors:
                 "TrainConfig: target_epochs='abc': invalid literal for int()",
             ),
             ("train", [], "target_epochs=0\n", "TrainConfig: target_epochs must be >= 1, got 0"),
+            ("generate", ["--temperature", "nan"], "", "RunConfig: temperature must be >= 0 and"),
+            ("bench", [], "temperature=inf\n", "RunConfig: temperature must be >= 0 and finite"),
+            ("generate", [], "prompt_len=0\n", "RunConfig: prompt_len must be >= 1, got 0"),
+            ("train", [], "lr=-1\n", "TrainConfig: lr must be finite and > 0, got -1"),
+            ("train", [], "lr=0\n", "TrainConfig: lr must be finite and > 0, got 0"),
+            ("train", [], "lr=nan\n", "TrainConfig: lr must be finite and > 0, got nan"),
+            ("train", [], "lambda1=nan\n", "TrainConfig: loss weights must be finite"),
+            ("train", [], "lambda2=inf\n", "TrainConfig: loss weights must be finite"),
+            ("train", [], "lambda1=0\nlambda2=0\n", "TrainConfig: loss weights must be finite"),
+            ("train", [], "prompt_len=24\n", "prompt_len 24 must be < corpus_seq_len 24"),
         ],
     )
     def test_rejected_config_value_before_building(

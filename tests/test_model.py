@@ -1,7 +1,8 @@
 """Target model: cache consistency, tree-masked attention, sampling, cache surgery.
 
 The cached ``forward`` runs tape-free; every parity check here compares it
-with the taped, cache-free ``forward_batch``."""
+with the taped, cache-free ``forward_batch``. A causal ``forward`` returns
+only its last new token's row."""
 
 from dataclasses import replace
 
@@ -52,8 +53,8 @@ class TestForward:
         first = model.forward(tokens[:split], cache)
         out = model.forward(tokens[split:], cache)
         hidden, logits = uncached(model, tokens)
-        assert_parity(first, hidden[:split], logits[:split])
-        assert_parity(out, hidden[split:], logits[split:])
+        assert_parity(first, hidden[split - 1 : split], logits[split - 1 : split])
+        assert_parity(out, hidden[-1:], logits[-1:])
 
     def test_chain_mask_equals_sequential(self):
         model = make_tiny_model()
@@ -156,7 +157,7 @@ class TestForward:
             batch = model.forward_batch(tokens)
         for b in range(2):
             single = model.forward(list(tokens[b]), model.new_cache())
-            assert_parity(single, batch.hidden.data[b], batch.logits.data[b])
+            assert_parity(single, batch.hidden.data[b, -1:], batch.logits.data[b, -1:])
 
     @pytest.mark.parametrize(
         "dtype, shape",
@@ -204,14 +205,18 @@ class TestBlockedAttention:
     @pytest.mark.parametrize("prefix", [0, 30])
     @pytest.mark.parametrize("t", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5])
     def test_matches_tape_forward_at_block_boundaries(self, prefix, t):
+        """The forward returns only its last row; the 1-token step after it
+        reads the last layer's cached keys and values of every row."""
         model = make_tiny_model(config=replace(TINY_MODEL, max_seq_len=3 * BLOCK))
-        tokens = list(np.random.default_rng(t).integers(0, 24, size=prefix + t))
+        tokens = list(np.random.default_rng(t).integers(0, 24, size=prefix + t + 1))
         cache = model.new_cache()
         if prefix:
             model.forward(tokens[:prefix], cache)
-        out = model.forward(tokens[prefix:], cache)
+        out = model.forward(tokens[prefix:-1], cache)
+        step = model.forward(tokens[-1:], cache)
         hidden, logits = uncached(model, tokens)
-        assert_parity(out, hidden[prefix:], logits[prefix:])
+        assert_parity(out, hidden[-2:-1], logits[-2:-1])
+        assert_parity(step, hidden[-1:], logits[-1:])
 
     def test_random_tree_masks_are_lower_triangular(self):
         rng = np.random.default_rng(3)
@@ -228,6 +233,18 @@ class TestSilu:
                    1e308, -1e308, 40.0, -40.0]
         x.flat[: len(special)] = special
         got, want = nn.silu(x), T.silu(Tensor(x)).data
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_array_silu_bit_for_bit_at_the_edges(self, dtype):
+        sub = np.finfo(dtype).smallest_subnormal
+        edges = [0.0, -0.0, sub, -sub, 1e3 * sub, -1e3 * sub, 800.0, -800.0, 1.0, -1.0]
+        x = np.concatenate(
+            [np.array(edges, dtype=dtype), np.linspace(-120, 120, 2001, dtype=dtype)]
+        )
+        got, want = nn.silu(x), T.silu(Tensor(x)).data
+        assert got.dtype == want.dtype == dtype
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
