@@ -204,12 +204,29 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _accum(t: Tensor, grad: np.ndarray) -> None:
+    """Add ``grad``, summed down to ``t``'s shape, into ``t.grad``.
+
+    The first gradient is stored as a C-contiguous copy, never as ``grad``
+    itself: ``add``'s backward hands one array to both of its parents, and a
+    broadcast view (``tsum``'s) is read-only, so either would break the
+    in-place accumulation of a later gradient.
+    """
     if not t.requires_grad:
         return
     g = _unbroadcast(np.asarray(grad, dtype=t.data.dtype), t.data.shape)
     if t.grad is None:
+        t.grad = np.array(g, order="C")
+    else:
+        t.grad += g
+
+
+def _accum_slice(t: Tensor, key: tuple, grad: np.ndarray) -> None:
+    """Add ``grad`` into ``t.grad[key]``, the part of ``t`` a slice op read."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
         t.grad = np.zeros_like(t.data)
-    t.grad += g
+    t.grad[key] += np.asarray(grad, dtype=t.data.dtype)
 
 
 def backward(loss: Tensor) -> None:
@@ -258,8 +275,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 
     def bwd(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
+        if a.requires_grad:
+            _accum(a, g * b.data)
+        if b.requires_grad:
+            _accum(b, g * a.data)
 
     return _result(out, (a, b), bwd)
 
@@ -284,7 +303,15 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy-style batching on leading axes."""
+    """Matrix product with numpy-style batching on leading axes.
+
+    Backward computes a gradient only for an operand that requires one. A
+    2-D (or 1-D) ``b``, a weight, gets its gradient from one GEMM over every
+    row of ``a``, ``a.reshape(-1, d_in).T @ g.reshape(-1, d_out)``, rather
+    than from a per-batch [..., d_in, d_out] stack summed over its batch axes.
+    Batched-by-batched products (attention's q.k^T and p.v) keep the batched
+    form. The forward is one ``np.matmul`` either way.
+    """
     ad, bd = a.data, b.data
     if ad.ndim == 0 or bd.ndim == 0:
         raise DimensionError("matmul requires at least 1-D operands")
@@ -308,14 +335,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             G = np.expand_dims(G, -2)
         elif bd.ndim == 1:
             G = np.expand_dims(G, -1)
-        ga = np.matmul(G, np.swapaxes(B, -1, -2))
-        gb = np.matmul(np.swapaxes(A, -1, -2), G)
-        if ad.ndim == 1:
-            ga = ga.reshape(ga.shape[:-2] + (ga.shape[-1],))
-        if bd.ndim == 1:
-            gb = gb.reshape(gb.shape[:-1])
-        _accum(a, ga)
-        _accum(b, gb)
+        if a.requires_grad:
+            ga = np.matmul(G, np.swapaxes(B, -1, -2))
+            if ad.ndim == 1:
+                ga = ga.reshape(ga.shape[:-2] + (ga.shape[-1],))
+            _accum(a, ga)
+        if b.requires_grad:
+            if B.ndim == 2:
+                gb = A.reshape(-1, A.shape[-1]).T @ G.reshape(-1, G.shape[-1])
+            else:
+                gb = np.matmul(np.swapaxes(A, -1, -2), G)
+            if bd.ndim == 1:
+                gb = gb.reshape(gb.shape[:-1])
+            _accum(b, gb)
 
     return _result(out, (a, b), bwd)
 
@@ -382,9 +414,7 @@ def select(x: Tensor, index: int, axis: int) -> Tensor:
     out = x.data[key]
 
     def bwd(g):
-        buf = np.zeros_like(x.data)
-        buf[key] += g
-        _accum(x, buf)
+        _accum_slice(x, key, g)
 
     return _result(np.ascontiguousarray(out), (x,), bwd)
 
@@ -402,9 +432,7 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     out = x.data[key]
 
     def bwd(g):
-        buf = np.zeros_like(x.data)
-        buf[key] += g
-        _accum(x, buf)
+        _accum_slice(x, key, g)
 
     return _result(np.ascontiguousarray(out), (x,), bwd)
 

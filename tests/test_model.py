@@ -275,12 +275,10 @@ class TestCacheSurgery:
             model.forward([1, 2, 3], cache)
             model.forward([4, 5, 6, 7, 8], cache)
             cache.truncate(6)
-            replay = model.forward([7, 8], cache)
-
-            ref_cache = model.new_cache()
-            model.forward([1, 2, 3], ref_cache)
-            ref = model.forward([4, 5, 6, 7, 8], ref_cache)
-        assert np.abs(replay.logits.data - ref.logits.data[-2:]).max() <= 1e-6
+            replay = [model.forward([tok], cache).logits.data[0] for tok in (7, 8)]
+        _, ref = uncached(model, [1, 2, 3, 4, 5, 6, 7, 8])
+        for row, want in zip(replay, ref[6:], strict=True):  # tokens 7 and 8
+            assert np.abs(row - want).max() <= PARITY
 
     def test_truncate_to_zero_equals_fresh(self):
         model = make_tiny_model()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from amphista import nn
 from amphista import tensor as T
 from amphista.gradcheck import grad_check
 from amphista.tensor import DimensionError, NonFiniteError, Parameter, Tensor
@@ -80,6 +81,45 @@ class TestMatmul:
         got = T.matmul(Tensor(a), Tensor(b)).data
         for i in range(5):
             assert np.allclose(got[i], a[i] @ b)
+
+    @pytest.mark.parametrize("a_shape", [(5, 3, 4), (2, 3, 4, 5)])
+    @pytest.mark.parametrize("b_vector", [False, True])
+    def test_batched_rows_times_weight_gradients(self, a_shape, b_vector):
+        """A 2-D or 1-D ``b`` takes its gradient from one product over every
+        row of a batched ``a``; both gradients match the closed forms."""
+        rng = np.random.default_rng(15)
+        d_in = a_shape[-1]
+        a = Parameter(rng.standard_normal(a_shape))
+        b = Parameter(rng.standard_normal((d_in,) if b_vector else (d_in, 3)))
+        out_shape = a_shape[:-1] if b_vector else a_shape[:-1] + (3,)
+        g = rng.standard_normal(out_shape)
+        T.tsum(T.mul(T.matmul(a, b), Tensor(g))).backward()
+        g2 = g[..., None] if b_vector else g
+        b2 = b.data[:, None] if b_vector else b.data
+        batch = "abc"[: len(a_shape) - 1]
+        want_b = np.einsum(f"{batch}i,{batch}j->ij", a.data, g2)
+        assert np.abs(b.grad - (want_b[:, 0] if b_vector else want_b)).max() <= 1e-12
+        assert np.abs(a.grad - g2 @ b2.T).max() <= 1e-12
+
+    @pytest.mark.parametrize("op", ["matmul", "mul"])
+    def test_frozen_operand_gets_no_gradient(self, op):
+        """A frozen or constant operand keeps ``grad is None``, and the other
+        operand's gradient is the bits it has when both are trainable."""
+        rng = np.random.default_rng(16)
+        a_data = rng.standard_normal((2, 4, 4))
+        b_data = rng.standard_normal((4, 4))
+        g = rng.standard_normal((2, 4, 4))
+        fn = getattr(T, op)
+
+        def b_grad(a_trainable):
+            a = Parameter(a_data.copy())
+            a.requires_grad = a_trainable
+            b = Parameter(b_data.copy())
+            T.tsum(T.mul(fn(a, b), Tensor(g))).backward()
+            assert (a.grad is None) != a_trainable
+            return b.grad
+
+        assert np.array_equal(b_grad(False), b_grad(True))
 
 
 class TestSoftmax:
@@ -213,6 +253,38 @@ class TestBackward:
         with pytest.raises(DimensionError):
             T.mul(w, w).backward()
 
+    def test_first_gradients_share_no_memory(self):
+        """``add`` hands one array to both parents; each stores its own copy."""
+        rng = np.random.default_rng(17)
+        a = Parameter(rng.standard_normal((2, 3)))
+        b = Parameter(rng.standard_normal((2, 3)))
+        c = T.add(a, b)
+        T.tsum(T.mul(c, Tensor(rng.standard_normal((2, 3))))).backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        assert not np.shares_memory(a.grad, c.grad)
+        assert not np.shares_memory(b.grad, c.grad)
+
+    @pytest.mark.parametrize("add_first", [True, False])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_second_gradient_leaves_the_sibling_alone(self, add_first, swap):
+        """``a`` takes a second gradient after ``add`` gave ``a`` and ``b`` the
+        same array, in either order; ``b``'s gradient stays exactly ones."""
+        a = Parameter(np.array([1.0, 2.0, 3.0]))
+        b = Parameter(np.array([4.0, 5.0, 6.0]))
+        c = Tensor(np.array([0.5, -1.0, 2.0]))
+        summed = T.tsum(T.add(b, a) if swap else T.add(a, b))
+        scaled = T.tsum(T.mul(a, c))
+        (T.add(summed, scaled) if add_first else T.add(scaled, summed)).backward()
+        assert np.array_equal(b.grad, np.ones(3))
+        assert np.array_equal(a.grad, 1.0 + c.data)
+
+    def test_read_only_broadcast_first_gradient_accumulates(self):
+        """``tsum``'s backward hands ``_accum`` a read-only broadcast view."""
+        w = Parameter(np.array([1.0, 2.0, 3.0]))
+        T.add(T.tsum(w), T.tsum(w)).backward()
+        assert np.array_equal(w.grad, [2.0, 2.0, 2.0])
+        assert w.grad.flags.writeable and w.grad.flags.c_contiguous
+
     def test_no_grad_blocks_tape(self):
         w = Parameter(np.ones(3))
         with T.no_grad():
@@ -335,6 +407,20 @@ class TestGradCheck:
 
         report = grad_check(fn, [w], eps=1e-3, tol=1e-5)
         assert report.passed, str(report)
+
+    def test_passes_through_linear_on_auto_embedding_rows(self):
+        """A Linear on [B, T, K, d] rows, the auto-embedding block's shape."""
+        rng = np.random.default_rng(18)
+        lin = nn.Linear(5, 3, rng)
+        x = Tensor(rng.standard_normal((2, 3, 4, 5)))
+
+        def fn():
+            y = lin(x)
+            return T.tsum(T.mul(y, y))
+
+        report = grad_check(fn, lin.parameters(), eps=1e-3, tol=1e-5)
+        assert report.passed, str(report)
+        assert sorted(report.max_rel_err) == ["bias", "weight"]
 
     def test_frozen_parameter_excluded(self):
         rng = np.random.default_rng(13)
