@@ -7,10 +7,15 @@ climb well above chance within a few epochs, random enough to be non-trivial.
 
 from __future__ import annotations
 
+import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .configfile import check_positive
 
 BYTE_VOCAB = 256
 
@@ -50,6 +55,15 @@ class CorpusSpec:
     def __post_init__(self):
         if self.kind not in ("markov", "text"):
             raise ValueError(f"unknown corpus kind {self.kind!r}")
+        check_positive(self, "order", "n_sequences", "seq_len")
+        if self.vocab < 2:
+            raise ValueError(f"vocab must be >= 2, got {self.vocab}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha:g}")
+        if not 0 <= self.context_mix <= 1:
+            raise ValueError(f"context_mix must be in [0, 1], got {self.context_mix:g}")
+        if self.byte_offset < 0:
+            raise ValueError(f"byte_offset must be >= 0, got {self.byte_offset}")
         if self.kind == "markov" and self.byte_offset + self.vocab > BYTE_VOCAB:
             raise ValueError("symbol embedding exceeds the byte space")
 
@@ -70,6 +84,8 @@ class MarkovGenerator:
     The table mixes a peaked order-1 backbone (conditioning on the latest
     symbol only) with a full-order modulation: genuinely order-k statistics,
     but with a core that a small model can learn from a few thousand tokens.
+    Each context's row is kept as its cumulative sum, indexed by the context
+    read as a base-`vocab` number.
     """
 
     def __init__(self, spec: CorpusSpec, seed: int):
@@ -82,27 +98,38 @@ class MarkovGenerator:
         modulation = rng.gamma(spec.alpha, size=shape)
         modulation /= modulation.sum(axis=-1, keepdims=True)
         mix = spec.context_mix
-        self.transition = (1.0 - mix) * backbone + mix * modulation
+        cdf = np.cumsum((1.0 - mix) * backbone + mix * modulation, axis=-1)
+        self._cdf_rows = [array("d", row.tobytes()) for row in cdf.reshape(-1, v)]
 
     def sequence(self, rng: np.random.Generator, length: int) -> list[int]:
+        """``length`` tokens: ``order`` uniform context symbols, then one
+        inverse-CDF draw per symbol from the row of the last ``order``."""
         order, vocab, off = self.spec.order, self.spec.vocab, self.spec.byte_offset
-        context = list(rng.integers(0, vocab, size=order))
-        symbols = list(context)
-        while len(symbols) < length:
-            probs = self.transition[tuple(symbols[-order:])]
-            cdf = np.cumsum(probs)
-            u = rng.random() * cdf[-1]
-            symbols.append(int(min(np.searchsorted(cdf, u, side="right"), vocab - 1)))
+        symbols = rng.integers(0, vocab, size=order).tolist()
+        context = 0
+        for s in symbols:
+            context = context * vocab + s
+        rows, span = self._cdf_rows, vocab ** (order - 1)
+        for u in rng.random(max(length - order, 0)).tolist():
+            row = rows[context]
+            s = min(bisect_right(row, u * row[-1]), vocab - 1)
+            symbols.append(s)
+            context = context % span * vocab + s
         return [s + off for s in symbols[:length]]
+
+
+def _sample(spec: CorpusSpec, seed: int, stream: int, n: int, length: int) -> list[list[int]]:
+    """``n`` sequences of the (spec, seed) chain from draw stream ``stream``."""
+    gen = MarkovGenerator(spec, seed)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, stream]))
+    return [gen.sequence(rng, length) for _ in range(n)]
 
 
 def make_corpus(spec: CorpusSpec, seed: int, name: str = "train") -> Corpus:
     """Materialize a corpus; (spec, seed) fully determine the result."""
     if spec.kind == "text":
         return load_text_corpus(spec.text_path, spec.seq_len, name=name)
-    gen = MarkovGenerator(spec, seed)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    sequences = [gen.sequence(rng, spec.seq_len) for _ in range(spec.n_sequences)]
+    sequences = _sample(spec, seed, 1, spec.n_sequences, spec.seq_len)
     return Corpus(name=name, sequences=sequences, spec=spec)
 
 
@@ -125,9 +152,7 @@ def make_prompts(
         if len(corpus.sequences) < n_prompts:
             raise ValueError("text corpus too small for the requested prompt count")
         return corpus.sequences[:n_prompts]
-    gen = MarkovGenerator(spec, seed)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, stream]))
-    return [gen.sequence(rng, prompt_len) for _ in range(n_prompts)]
+    return _sample(spec, seed, stream, n_prompts, prompt_len)
 
 
 def load_text_corpus(path: str | Path, seq_len: int, name: str = "text") -> Corpus:

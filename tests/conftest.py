@@ -24,6 +24,26 @@ def make_tiny_drafter(model: TargetModel, seed: int = 1, **cfg_kwargs) -> Drafte
     return Drafter(config, model, np.random.default_rng(seed))
 
 
+def reference_markov_sequence(spec, seed: int, rng: np.random.Generator, length: int) -> list[int]:
+    """The per-token sampler ``MarkovGenerator.sequence`` must equal: the
+    (spec, seed) transition table, one ``np.cumsum``, scalar ``rng.random()``
+    and ``np.searchsorted`` per token."""
+    rng_table = np.random.default_rng(np.random.SeedSequence([seed, 0xC0FFEE]))
+    v = spec.vocab
+    backbone = rng_table.gamma(spec.alpha, size=(v, v))
+    backbone /= backbone.sum(axis=-1, keepdims=True)
+    modulation = rng_table.gamma(spec.alpha, size=(v,) * spec.order + (v,))
+    modulation /= modulation.sum(axis=-1, keepdims=True)
+    transition = (1.0 - spec.context_mix) * backbone + spec.context_mix * modulation
+    order = spec.order
+    symbols = list(rng.integers(0, v, size=order))
+    while len(symbols) < length:
+        cdf = np.cumsum(transition[tuple(symbols[-order:])])
+        u = rng.random() * cdf[-1]
+        symbols.append(int(min(np.searchsorted(cdf, u, side="right"), v - 1)))
+    return [s + spec.byte_offset for s in symbols[:length]]
+
+
 def random_tree_paths(rng: np.random.Generator, n_nodes: int, max_depth: int) -> list[tuple[int, ...]]:
     """A random prefix-closed tree of ``n_nodes`` nodes, root included, whose
     paths are at most ``max_depth`` long; each node grows under a uniformly

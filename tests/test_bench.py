@@ -1,5 +1,6 @@
 """Harness: tokenizer, decoding-loop metrics, head accuracy, ablation, tree attention."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from amphista.bench import (
 from amphista.corpus import (
     Corpus,
     CorpusSpec,
+    MarkovGenerator,
     TokenizerError,
     detokenize,
     make_corpus,
@@ -47,7 +49,12 @@ from amphista.training import (
     measure_head_accuracy,
     split_corpus,
 )
-from conftest import make_tiny_drafter, make_tiny_model, predicted_tokens_per_step
+from conftest import (
+    make_tiny_drafter,
+    make_tiny_model,
+    predicted_tokens_per_step,
+    reference_markov_sequence,
+)
 
 
 class TestTokenizer:
@@ -68,7 +75,45 @@ class TestTokenizer:
             detokenize([256])
 
 
+MARKOV_CASES = [
+    (order, vocab, length, seed)
+    for order, vocab in ((1, 32), (2, 32), (3, 16))
+    for length in sorted({0, 1, order, order + 1, 48, 384})
+    for seed in (0, 7, 123)
+]
+
+
+def _int64_sha256(sequences) -> str:
+    return hashlib.sha256(np.asarray(sequences, dtype=np.int64).tobytes()).hexdigest()
+
+
 class TestCorpus:
+    @pytest.mark.parametrize("order, vocab, length, seed", MARKOV_CASES)
+    def test_sequence_matches_per_token_reference(self, order, vocab, length, seed):
+        """Same tokens, as Python ints, and the same stream use as the
+        per-token sampler: the next draw after 24 sequences is equal."""
+        spec = CorpusSpec(order=order, vocab=vocab)
+        gen = MarkovGenerator(spec, seed)
+        rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        for _ in range(24):
+            got = gen.sequence(rng, length)
+            assert got == reference_markov_sequence(spec, seed, ref_rng, length)
+            assert all(type(t) is int for t in got)
+        assert rng.random() == ref_rng.random()
+
+    def test_toy_corpus_and_prompts_are_pinned(self):
+        """The fixture checkpoint is trained on this corpus; any change to
+        the tokens or the draw streams shows here."""
+        corpus = make_corpus(CorpusSpec(), 0).sequences
+        prompts = make_prompts(CorpusSpec(), 0, 8, 12)
+        assert _int64_sha256(corpus) == (
+            "aa19583d5e5979cabef97a60b83ed2bfd7ef0dd05ffbac96d7845f8706dba7a5"
+        )
+        assert _int64_sha256(prompts) == (
+            "f98cfa2a8904a11d11ad4d4bde1c105ec189fb15dd7656b62c9c51e33907427e"
+        )
+        assert all(type(t) is int for seq in corpus + prompts for t in seq)
+
     def test_reproducible_from_spec_and_seed(self):
         spec = CorpusSpec(n_sequences=5, seq_len=16)
         a = make_corpus(spec, seed=3)

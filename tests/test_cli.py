@@ -315,6 +315,23 @@ class TestNamedErrors:
             ("train", [], "lambda2=inf\n", "TrainConfig: loss weights must be finite"),
             ("train", [], "lambda1=0\nlambda2=0\n", "TrainConfig: loss weights must be finite"),
             ("train", [], "prompt_len=24\n", "prompt_len 24 must be < corpus_seq_len 24"),
+            ("train", [], "corpus_alpha=0\n", "CorpusSpec: alpha must be finite and > 0, got 0"),
+            (
+                "bench",
+                [],
+                "corpus_alpha=nan\n",
+                "CorpusSpec: alpha must be finite and > 0, got nan",
+            ),
+            (
+                "train",
+                [],
+                "corpus_context_mix=2\n",
+                "CorpusSpec: context_mix must be in [0, 1], got 2",
+            ),
+            ("bench", [], "corpus_order=0\n", "CorpusSpec: order must be >= 1, got 0"),
+            ("ablate", [], "corpus_vocab=1\n", "CorpusSpec: vocab must be >= 2, got 1"),
+            ("train", [], "corpus_seq_len=0\n", "CorpusSpec: seq_len must be >= 1, got 0"),
+            ("train", [], "corpus_n_sequences=0\n", "CorpusSpec: n_sequences must be >= 1, got 0"),
         ],
     )
     def test_rejected_config_value_before_building(
