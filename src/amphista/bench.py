@@ -91,6 +91,8 @@ class RunConfig:
         if not 0 <= self.temperature < math.inf:
             raise ValueError(f"temperature must be >= 0 and finite, got {self.temperature:g}")
         check_positive(self, "n_prompts", "max_new_tokens", "prompt_len")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -188,7 +190,7 @@ def train_system(
     train_config: TrainConfig,
     corpus,
     seed: int,
-    prompt_len: int = RunConfig.prompt_len,
+    prompt_len: int,
 ):
     """Pretrain the target, then train the drafter on the target's own greedy
     continuations (``distill_corpus``); both come back in f64."""
@@ -549,15 +551,12 @@ def write_tree_search_timing_csv(path: str | Path, result: TreeSearchResult) -> 
 @dataclass
 class AblationConfig:
     seeds: tuple[int, ...] = (0, 1, 2)
-    n_eval_prompts: int = 50
-    prompt_len: int = 12
-    max_new_tokens: int = 24
-    topology: str = "cart45"
 
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("seeds must list at least one seed")
-        check_positive(self, "n_eval_prompts", "max_new_tokens")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be >= 0, got {min(self.seeds)}")
 
 
 @dataclass
@@ -576,22 +575,23 @@ def run_ablation_suite(
     drafter_config: DrafterConfig,
     train_config: TrainConfig,
     corpus_spec: CorpusSpec,
-    ablation: AblationConfig,
+    run: RunConfig,
+    seeds: tuple[int, ...],
 ) -> list[AblationRow]:
     """Train every variant under an identical budget per seed and compare
-    accepted length. The target model, and the distilled corpus its drafters
-    train on, are built once per seed and shared by all variants; the AR
-    baseline (losslessness reference and timing anchor) is likewise computed
-    once per seed."""
+    accepted length, decoding with ``run`` at each seed (its ``mode`` is not
+    read). The target model, and the distilled corpus its drafters train on,
+    are built once per seed and shared by all variants; the AR baseline
+    (losslessness reference and timing anchor) is likewise computed once per
+    seed."""
     rows = {name: AblationRow(name, {}, {}) for name in VARIANT_NAMES}
-    for seed in ablation.seeds:
+    for seed in seeds:
         corpus = make_corpus(corpus_spec, seed)
-        prompts = make_prompts(corpus_spec, seed, ablation.n_eval_prompts, ablation.prompt_len)
+        prompts = make_prompts(corpus_spec, seed, run.n_prompts, run.prompt_len)
         model32, model, _ = pretrain_target(model_config, train_config, corpus, seed)
-        drafter_corpus = distill_corpus(model, corpus, ablation.prompt_len)
+        drafter_corpus = distill_corpus(model, corpus, run.prompt_len)
 
-        run_ar = RunConfig(mode="ar", max_new_tokens=ablation.max_new_tokens, seed=seed)
-        _, ar_results = run_prompt_set(model, None, run_ar, prompts)
+        _, ar_results = run_prompt_set(model, None, replace(run, mode="ar", seed=seed), prompts)
         ar_rate = pass_tokens_per_sec(ar_results)
 
         for name in VARIANT_NAMES:
@@ -603,13 +603,8 @@ def run_ablation_suite(
                 model,
                 seed,
             )
-            run = RunConfig(
-                mode=name,
-                topology=ablation.topology,
-                max_new_tokens=ablation.max_new_tokens,
-                seed=seed,
-            )
-            report, results = run_prompt_set(model, drafter, run, prompts, ar_refs=ar_results)
+            variant_run = replace(run, mode=name, seed=seed)
+            report, results = run_prompt_set(model, drafter, variant_run, prompts, ar_refs=ar_results)
             rows[name].tokens_per_step[seed] = report.tokens_per_step
             rows[name].speedup[seed] = pass_tokens_per_sec(results) / ar_rate
     return sorted(rows.values(), key=lambda r: -r.mean_tokens_per_step)

@@ -44,7 +44,7 @@ from .corpus import CorpusSpec, detokenize, make_corpus, make_prompts, tokenize
 from .drafter import VARIANT_NAMES, DrafterConfig, variant_config
 from .model import ModelConfig
 from .engine import EngineError
-from .speculation import TopologyError, format_topology
+from .speculation import TopologyError, format_topology, resolve_topology
 from .training import TrainConfig, split_corpus
 
 
@@ -93,6 +93,14 @@ def _outdir(args) -> Path:
     return out
 
 
+def _check_prompt_len(run_cfg: RunConfig, corpus_spec: CorpusSpec) -> None:
+    if run_cfg.prompt_len >= corpus_spec.seq_len:
+        raise ConfigError(
+            f"prompt_len {run_cfg.prompt_len} must be < corpus_seq_len {corpus_spec.seq_len}: "
+            "the drafter trains on each corpus sequence continued after its prompt"
+        )
+
+
 def _variant_for_mode(mode: str, base: DrafterConfig) -> DrafterConfig:
     if mode in ("ar", "oracle"):
         return base
@@ -136,11 +144,7 @@ def _build_system(args, model_cfg, drafter_cfg, run_cfg):
 
 def cmd_train(args) -> int:
     _, model_cfg, drafter_cfg, train_cfg, corpus_spec, run_cfg = _build_configs(args)
-    if run_cfg.prompt_len >= corpus_spec.seq_len:
-        raise ConfigError(
-            f"prompt_len {run_cfg.prompt_len} must be < corpus_seq_len {corpus_spec.seq_len}: "
-            "the drafter trains on each corpus sequence continued after its prompt"
-        )
+    _check_prompt_len(run_cfg, corpus_spec)
     out = _outdir(args)
     drafter_cfg = _variant_for_mode(run_cfg.mode, drafter_cfg)
     seed = train_cfg.seed
@@ -268,15 +272,22 @@ def cmd_tree_search(args) -> int:
 
 def cmd_ablate(args) -> int:
     raw, model_cfg, drafter_cfg, train_cfg, corpus_spec, run_cfg = _build_configs(args)
-    ablation = coerce_dataclass(AblationConfig, raw, prefix="ablation_")
+    seeds = coerce_dataclass(AblationConfig, raw, prefix="ablation_").seeds
+    _check_prompt_len(run_cfg, corpus_spec)
+    depth = resolve_topology(run_cfg.topology).depth_max
+    if depth != drafter_cfg.K:
+        raise ConfigError(
+            f"topology {run_cfg.topology!r} has depth {depth}; "
+            f"the drafter has K={drafter_cfg.K} heads"
+        )
     out = _outdir(args)
     if args.seed is not None:
-        ablation = replace(ablation, seeds=tuple(args.seed + i for i in range(len(ablation.seeds))))
-    rows = run_ablation_suite(model_cfg, drafter_cfg, train_cfg, corpus_spec, ablation)
+        seeds = tuple(args.seed + i for i in range(len(seeds)))
+    rows = run_ablation_suite(model_cfg, drafter_cfg, train_cfg, corpus_spec, run_cfg, seeds)
     write_ablation_csv(out / "ablation.csv", rows)
     write_ablation_timing_csv(out / "ablation_timing.csv", rows)
     ok, per_seed = ablation_direction(rows)
-    print(f"ablation over seeds {ablation.seeds}: ranked by mean tokens/step")
+    print(f"ablation over seeds {seeds}: ranked by mean tokens/step")
     for rank, row in enumerate(rows, 1):
         print(f"  {rank}. {row.variant:22s} {row.mean_tokens_per_step:.3f}")
     verdict = "PASS" if ok else "WARN"
@@ -306,7 +317,7 @@ def cmd_head_acc(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
-    checks = selfcheck(seed=args.seed if args.seed is not None else 0)
+    checks = selfcheck(seed=_build_configs(args)[-1].seed)
     failed = False
     for name, ok, detail in checks:
         print(f"  [{'PASS' if ok else 'FAIL'}] {name}: {detail}")

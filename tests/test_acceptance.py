@@ -10,7 +10,6 @@ import pytest
 
 from amphista import tensor as T
 from amphista.bench import (
-    AblationConfig,
     RunConfig,
     ablation_direction,
     build_drafter,
@@ -48,7 +47,7 @@ def trained_system():
     """Criterion 6 budget: default synthetic corpus, 4 epochs, lr 1e-3."""
     corpus = make_corpus(CorpusSpec(), seed=0)
     model, drafter, report, target_report = train_system(
-        TOY_MODEL, DrafterConfig(), TrainConfig(), corpus, seed=0
+        TOY_MODEL, DrafterConfig(), TrainConfig(), corpus, seed=0, prompt_len=RunConfig.prompt_len
     )
     return model, drafter, report, target_report
 
@@ -181,7 +180,8 @@ def test_criterion_07_ablation_direction():
     majority direction = pass, otherwise warn (never a hard failure)."""
     rows = run_ablation_suite(
         TOY_MODEL, DrafterConfig(), TrainConfig(), ABLATION_CORPUS,
-        AblationConfig(seeds=(0, 1, 2), n_eval_prompts=50, max_new_tokens=24),
+        RunConfig(topology="cart45", n_prompts=50, max_new_tokens=24),
+        seeds=(0, 1, 2),
     )
     assert len(rows) == 7
     ok, per_seed = ablation_direction(rows)

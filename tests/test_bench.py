@@ -1,7 +1,6 @@
 """Harness: tokenizer, decoding-loop metrics, head accuracy, ablation, tree attention."""
 
 import hashlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from amphista import tensor as T
 from amphista.bench import (
     CALIBRATION_PROMPTS,
     CALIBRATION_STREAM,
-    AblationConfig,
     RunConfig,
     calibrate,
     recompute_tokens_per_step,
@@ -423,19 +421,14 @@ def small_ablation_setup():
         DrafterConfig(sal_heads=2),
         TrainConfig(epochs=1, batch_size=8, target_epochs=1),
         CorpusSpec(vocab=16, n_sequences=16, seq_len=20),
-        AblationConfig(
-            seeds=(0,),
-            n_eval_prompts=3,
-            prompt_len=6,
-            max_new_tokens=10,
-        ),
+        RunConfig(topology="cart45", n_prompts=3, prompt_len=6, max_new_tokens=10),
     )
 
 
 class TestAblationHarness:
     def test_seven_rows_and_deterministic_csv(self, tmp_path):
-        model_cfg, drafter_cfg, train_cfg, corpus_spec, ab = small_ablation_setup()
-        rows = run_ablation_suite(model_cfg, drafter_cfg, train_cfg, corpus_spec, ab)
+        model_cfg, drafter_cfg, train_cfg, corpus_spec, run = small_ablation_setup()
+        rows = run_ablation_suite(model_cfg, drafter_cfg, train_cfg, corpus_spec, run, (0,))
         assert len(rows) == 7
         assert {r.variant for r in rows} == {
             "medusa",
@@ -448,13 +441,13 @@ class TestAblationHarness:
         }
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_ablation_csv(a, rows)
-        rows2 = run_ablation_suite(model_cfg, drafter_cfg, train_cfg, corpus_spec, ab)
+        rows2 = run_ablation_suite(model_cfg, drafter_cfg, train_cfg, corpus_spec, run, (0,))
         write_ablation_csv(b, rows2)
         assert a.read_bytes() == b.read_bytes()
 
     def test_reference_column_present(self, tmp_path):
-        model_cfg, drafter_cfg, train_cfg, corpus_spec, ab = small_ablation_setup()
-        rows = run_ablation_suite(model_cfg, drafter_cfg, train_cfg, corpus_spec, ab)
+        model_cfg, drafter_cfg, train_cfg, corpus_spec, run = small_ablation_setup()
+        rows = run_ablation_suite(model_cfg, drafter_cfg, train_cfg, corpus_spec, run, (0,))
         path = tmp_path / "ablation.csv"
         write_ablation_csv(path, rows)
         text = path.read_text()
@@ -463,7 +456,7 @@ class TestAblationHarness:
 
 
     def test_distilled_corpus_is_built_once_per_seed(self, monkeypatch):
-        model_cfg, drafter_cfg, train_cfg, corpus_spec, ab = small_ablation_setup()
+        model_cfg, drafter_cfg, train_cfg, corpus_spec, run = small_ablation_setup()
         builds, corpora = [], []
         real_distill, real_train_drafter = bench.distill_corpus, bench.train_drafter
 
@@ -477,8 +470,7 @@ class TestAblationHarness:
 
         monkeypatch.setattr(bench, "distill_corpus", counting_distill)
         monkeypatch.setattr(bench, "train_drafter", recording_train_drafter)
-        two_seeds = replace(ab, seeds=(0, 1))
-        run_ablation_suite(model_cfg, drafter_cfg, train_cfg, corpus_spec, two_seeds)
+        run_ablation_suite(model_cfg, drafter_cfg, train_cfg, corpus_spec, run, (0, 1))
         assert len(builds) == 2
         assert len(corpora) == 14
         assert all(c is builds[0] for c in corpora[:7])

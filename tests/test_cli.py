@@ -6,10 +6,10 @@ import csv
 import pytest
 
 from amphista import bench, cli
-from amphista.bench import LosslessnessError
+from amphista.bench import AblationRow, LosslessnessError
 from amphista.checkpoint import CheckpointError, dump_state, load_checkpoint, save_checkpoint
 from amphista.cli import _build_configs, _build_system, main
-from amphista.drafter import variant_config
+from amphista.drafter import VARIANT_NAMES, variant_config
 from amphista.engine import DrafterSession, ar_generate, speculative_generate
 from amphista.speculation import load_topology
 
@@ -164,6 +164,29 @@ class TestCommands:
     def test_selfcheck_passes(self):
         assert main(["selfcheck", "--seed", "0"]) == 0
 
+    def test_ablate_decodes_with_the_run_config(self, tmp_path, monkeypatch):
+        """ablate decodes with the run keys and flags that bench reads, and
+        trains at the ablation_seeds (or at --seed and the seeds after it)."""
+        seen = []
+
+        def recording(model_cfg, drafter_cfg, train_cfg, corpus_spec, run, seeds):
+            seen.append((run, seeds))
+            ones = dict.fromkeys(seeds, 1.0)
+            return [AblationRow(name, ones, ones) for name in VARIANT_NAMES]
+
+        monkeypatch.setattr(cli, "run_ablation_suite", recording)
+        cfg = tmp_path / "ablate.cfg"
+        cfg.write_text(TINY + "ablation_seeds=3,4\n")
+        argv = ["ablate", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                "--topology", "chain", "--temperature", "0.8"]
+        assert main(argv) == 0
+        assert main([*argv, "--seed", "7"]) == 0
+        (run, seeds), (_, reseeded) = seen
+        assert (run.n_prompts, run.prompt_len, run.max_new_tokens) == (2, 8, 20)
+        assert (run.topology, run.temperature) == ("chain", 0.8)
+        assert (seeds, reseeded) == ((3, 4), (7, 8))
+        assert (tmp_path / "out" / "ablation.csv").exists()
+
     def test_unknown_mode_rejected(self, tiny_cfg, tmp_path, capsys):
         argv = ["bench", "--config", tiny_cfg, "--out", str(tmp_path), "--mode", "warpdrive"]
         assert main(argv) == 1
@@ -290,12 +313,7 @@ class TestNamedErrors:
             ("bench", [], "K=abc\n", "DrafterConfig: K='abc': invalid literal for int()"),
             ("bench", [], "n_prompts=0\n", "RunConfig: n_prompts must be >= 1, got 0"),
             ("bench", ["--max-new-tokens", "0"], "", "RunConfig: max_new_tokens must be >= 1"),
-            (
-                "ablate",
-                [],
-                "ablation_n_eval_prompts=0\n",
-                "AblationConfig: n_eval_prompts must be >= 1, got 0",
-            ),
+            ("ablate", [], "n_prompts=0\n", "RunConfig: n_prompts must be >= 1, got 0"),
             ("train", [], "epochs=0\n", "TrainConfig: epochs must be >= 1, got 0"),
             ("train", [], "batch_size=0\n", "TrainConfig: batch_size must be >= 1, got 0"),
             (
@@ -332,6 +350,12 @@ class TestNamedErrors:
             ("ablate", [], "corpus_vocab=1\n", "CorpusSpec: vocab must be >= 2, got 1"),
             ("train", [], "corpus_seq_len=0\n", "CorpusSpec: seq_len must be >= 1, got 0"),
             ("train", [], "corpus_n_sequences=0\n", "CorpusSpec: n_sequences must be >= 1, got 0"),
+            ("bench", ["--seed", "-1"], "", "RunConfig: seed must be >= 0, got -1"),
+            ("ablate", [], "ablation_seeds=0,-2\n", "AblationConfig: seeds must be >= 0, got -2"),
+            ("ablate", [], "prompt_len=24\n", "prompt_len 24 must be < corpus_seq_len 24"),
+            ("ablate", ["--topology", "bushy"], "", "'bushy' is neither a preset nor an existing file"),
+            ("ablate", [], "K=3\n", "topology 'searched' has depth 4; the drafter has K=3 heads"),
+            ("selfcheck", ["--seed", "-1"], "", "RunConfig: seed must be >= 0, got -1"),
         ],
     )
     def test_rejected_config_value_before_building(

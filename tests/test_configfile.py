@@ -1,12 +1,13 @@
 """Config file parsing and dataclass binding."""
 
 import argparse
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from amphista.bench import AblationConfig
-from amphista.cli import _build_configs
+from amphista.cli import _CONFIG_SECTIONS, _build_configs
 from amphista.configfile import ConfigError, coerce_dataclass, dump_config, parse_config
 from amphista.corpus import CorpusSpec
 from amphista.drafter import DrafterConfig
@@ -119,9 +120,10 @@ class TestRoundTrip:
             _build_configs(_cli_args(path))
 
     def test_stray_key_is_named_before_any_work(self, tmp_path):
-        # a typo, and every key that became a constant
+        # a typo, every key that became a constant, and the ablation copies of run keys
         stray = ["n_promts", "epsilon", "delta", "top_k_per_head", "norm_eps", "beta1", "beta2",
-                 "weight_decay", "warmup_frac"]
+                 "weight_decay", "warmup_frac", "ablation_n_eval_prompts", "ablation_prompt_len",
+                 "ablation_max_new_tokens", "ablation_topology"]
         path = tmp_path / "typo.cfg"
         lines = ["hidden_dim=32", "target_epochs=1", "corpus_vocab=16"] + [f"{k}=1" for k in stray]
         path.write_text("\n".join(lines) + "\n")
@@ -129,3 +131,17 @@ class TestRoundTrip:
             _build_configs(_cli_args(path))
         assert f"unknown key(s) {', '.join(sorted(stray))};" in str(err.value)
         assert "hidden_dim" not in str(err.value) and "target_epochs" not in str(err.value)
+
+    def test_settable_keys_are_pinned(self):
+        """The 38 keys a config file may set: a new knob shows up here as a diff."""
+        keys = {prefix + f.name for prefix, cls in _CONFIG_SECTIONS for f in fields(cls)}
+        assert sorted(keys) == [
+            "K", "ablation_seeds", "adaptation", "batch_size", "corpus_alpha",
+            "corpus_byte_offset", "corpus_context_mix", "corpus_kind", "corpus_n_sequences",
+            "corpus_order", "corpus_seq_len", "corpus_text_path", "corpus_vocab",
+            "encoder_layers", "epochs", "ffn_dim", "hidden_dim", "lambda1", "lambda2",
+            "lm_head_rank", "lr", "max_new_tokens", "max_seq_len", "mode", "n_heads",
+            "n_layers", "n_prompts", "prompt_len", "sal_ffn_dim", "sal_heads", "seed",
+            "target_epochs", "temperature", "topology", "use_auto_embedding",
+            "use_positional_encoding", "use_sampled_token", "vocab_size",
+        ]
