@@ -22,7 +22,7 @@ import numpy as np
 from . import tensor as T
 from .configfile import check_positive
 from .corpus import CorpusSpec, make_corpus, make_prompts
-from .drafter import VARIANT_NAMES, Drafter, DrafterConfig, variant_config
+from .drafter import VARIANTS, Drafter, DrafterConfig, variant_config
 from .engine import (
     DrafterSession,
     GenerationResult,
@@ -66,7 +66,7 @@ FULLSCALE_REF_ACCEPTED_LEN = {
     "amphista": 3.50,
 }
 
-SPECULATIVE_MODES = ("oracle", "vanilla_chain", *VARIANT_NAMES)
+SPECULATIVE_MODES = ("oracle", "vanilla_chain", *VARIANTS)
 
 
 class LosslessnessError(RuntimeError):
@@ -414,7 +414,7 @@ def calibrate(
 ) -> Calibration:
     """Decode ``prompts`` once, greedily with ``run``'s topology, and record
     every round's rank vector against the AR greedy continuation."""
-    if run.mode not in VARIANT_NAMES or run.temperature != 0:
+    if run.mode not in VARIANTS or run.temperature != 0:
         raise ValueError(
             f"calibration decodes greedily with a drafter variant, not mode={run.mode!r} "
             f"at temperature {run.temperature:g}"
@@ -584,7 +584,7 @@ def run_ablation_suite(
     are built once per seed and shared by all variants; the AR baseline
     (losslessness reference and timing anchor) is likewise computed once per
     seed."""
-    rows = {name: AblationRow(name, {}, {}) for name in VARIANT_NAMES}
+    rows = {name: AblationRow(name, {}, {}) for name in VARIANTS}
     for seed in seeds:
         corpus = make_corpus(corpus_spec, seed)
         prompts = make_prompts(corpus_spec, seed, run.n_prompts, run.prompt_len)
@@ -594,7 +594,7 @@ def run_ablation_suite(
         _, ar_results = run_prompt_set(model, None, replace(run, mode="ar", seed=seed), prompts)
         ar_rate = pass_tokens_per_sec(ar_results)
 
-        for name in VARIANT_NAMES:
+        for name in VARIANTS:
             drafter, _ = train_drafter(
                 variant_config(name, drafter_config),
                 train_config,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .bench import (
@@ -39,9 +39,9 @@ from .bench import (
     write_tree_search_timing_csv,
 )
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .configfile import ConfigError, coerce_dataclass, dump_config, load_config
+from .configfile import ConfigError, coerce_dataclass, dump_config, file_keys, load_config
 from .corpus import CorpusSpec, detokenize, make_corpus, make_prompts, tokenize
-from .drafter import VARIANT_NAMES, DrafterConfig, variant_config
+from .drafter import VARIANTS, DrafterConfig, variant_config
 from .model import ModelConfig
 from .engine import EngineError
 from .speculation import TopologyError, format_topology, resolve_topology
@@ -62,7 +62,7 @@ _CONFIG_SECTIONS = (
 def _load_raw(path: str | None) -> dict[str, str]:
     """The file's key=value pairs; a key that no config reads is an error."""
     raw = load_config(path) if path else {}
-    known = {prefix + f.name for prefix, cls in _CONFIG_SECTIONS for f in fields(cls)}
+    known = {key for prefix, cls in _CONFIG_SECTIONS for key in file_keys(cls, prefix)}
     stray = sorted(set(raw) - known)
     if stray:
         raise ConfigError(f"{path}: unknown key(s) {', '.join(stray)}; no config reads them")
@@ -101,12 +101,12 @@ def _check_prompt_len(run_cfg: RunConfig, corpus_spec: CorpusSpec) -> None:
         )
 
 
+# Modes that decode without a drafter.
+_NO_DRAFTER = ("ar", "oracle")
+
+
 def _variant_for_mode(mode: str, base: DrafterConfig) -> DrafterConfig:
-    if mode in ("ar", "oracle"):
-        return base
-    if mode == "vanilla_chain":
-        return variant_config("amphista", base)
-    return variant_config(mode, base)
+    return variant_config("amphista" if mode in (*_NO_DRAFTER, "vanilla_chain") else mode, base)
 
 
 def _build_system(args, model_cfg, drafter_cfg, run_cfg):
@@ -116,7 +116,7 @@ def _build_system(args, model_cfg, drafter_cfg, run_cfg):
     model = build_model(model_cfg, run_cfg.seed)
     model.freeze()
     drafter = None
-    if run_cfg.mode not in ("ar", "oracle"):
+    if run_cfg.mode not in _NO_DRAFTER:
         drafter = build_drafter(_variant_for_mode(run_cfg.mode, drafter_cfg), model, run_cfg.seed)
     if args.ckpt:
         state = load_checkpoint(args.ckpt)
@@ -239,7 +239,7 @@ def cmd_bench(args) -> int:
 
 def cmd_tree_search(args) -> int:
     _, model_cfg, drafter_cfg, _, corpus_spec, run_cfg = _build_configs(args)
-    if run_cfg.mode not in VARIANT_NAMES:
+    if run_cfg.mode not in VARIANTS:
         raise ConfigError(f"tree-search calibrates a drafter variant, not --mode {run_cfg.mode}")
     if run_cfg.temperature != 0:
         raise ConfigError(
@@ -298,10 +298,10 @@ def cmd_ablate(args) -> int:
 
 def cmd_head_acc(args) -> int:
     _, model_cfg, drafter_cfg, _, corpus_spec, run_cfg = _build_configs(args)
+    if run_cfg.mode in _NO_DRAFTER:
+        raise ConfigError(f"head-acc measures a drafter, and --mode {run_cfg.mode} has none")
     out = _outdir(args)
     model, drafter = _build_system(args, model_cfg, drafter_cfg, run_cfg)
-    if drafter is None:
-        raise ConfigError(f"head-acc measures a drafter, and --mode {run_cfg.mode} has none")
     # the held-out split that drafter training evaluates on
     held_out = split_corpus(make_corpus(corpus_spec, run_cfg.seed).sequences)[1]
     tables = write_head_accuracy_csv(

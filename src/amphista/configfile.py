@@ -1,7 +1,8 @@
 """Plain key=value config files shared by the CLI and the library.
 
 One flat namespace; each consumer dataclass picks the keys matching its field
-names (optionally behind a prefix, e.g. ``corpus_seq_len`` -> CorpusSpec.seq_len).
+names (optionally behind a prefix, e.g. ``corpus_seq_len`` -> CorpusSpec.seq_len),
+except fields marked ``metadata={"file_key": False}`` (``file_keys``).
 Lines starting with '#' and blank lines are ignored.
 """
 
@@ -11,9 +12,6 @@ import dataclasses
 import types
 import typing
 from pathlib import Path
-
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
 
 
 class ConfigError(ValueError):
@@ -58,13 +56,6 @@ def _coerce_value(raw: str, hint) -> object:
     if origin is tuple:
         item = typing.get_args(hint)[0]
         return tuple(_coerce_value(part.strip(), item) for part in raw.split(",") if part.strip())
-    if hint is bool:
-        low = raw.lower()
-        if low in _TRUE:
-            return True
-        if low in _FALSE:
-            return False
-        raise ConfigError(f"cannot parse {raw!r} as bool")
     if hint is int:
         return int(raw)
     if hint is float:
@@ -74,17 +65,27 @@ def _coerce_value(raw: str, hint) -> object:
     raise ConfigError(f"unsupported config field type {hint!r}")
 
 
+def file_keys(cls, prefix: str = "") -> dict[str, str]:
+    """The config file keys of dataclass ``cls`` (or an instance), each mapped
+    to its field name: every field but those marked
+    ``metadata={"file_key": False}``."""
+    return {
+        prefix + f.name: f.name
+        for f in dataclasses.fields(cls)
+        if f.metadata.get("file_key", True)
+    }
+
+
 def coerce_dataclass(cls, mapping: dict[str, str], prefix: str = "", **overrides):
     """Build ``cls`` from matching config keys; overrides win over the file.
     A value that does not parse, or that the class rejects, raises
     ``ConfigError`` naming the class."""
     hints = typing.get_type_hints(cls)
     kwargs = {}
-    for f in dataclasses.fields(cls):
-        key = prefix + f.name
+    for key, name in file_keys(cls, prefix).items():
         if key in mapping:
             try:
-                kwargs[f.name] = _coerce_value(mapping[key], hints[f.name])
+                kwargs[name] = _coerce_value(mapping[key], hints[name])
             except ValueError as err:
                 raise ConfigError(f"{cls.__name__}: {key}={mapping[key]!r}: {err}") from err
     kwargs.update({k: v for k, v in overrides.items() if v is not None})
@@ -99,12 +100,11 @@ def dump_config(sections: list[tuple[str, object]], path: str | Path) -> None:
     lines = []
     seen = set()
     for prefix, cfg in sections:
-        for f in dataclasses.fields(cfg):
-            key = f"{prefix}{f.name}"
+        for key, name in file_keys(cfg, prefix).items():
             if key in seen:
                 continue
             seen.add(key)
-            val = getattr(cfg, f.name)
+            val = getattr(cfg, name)
             if isinstance(val, tuple):
                 val = ",".join(str(v) for v in val)
             lines.append(f"{key}={val}")

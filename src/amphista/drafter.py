@@ -2,9 +2,9 @@
 auto-embedding block with learnable positional rows and bi-directional
 self-attention, and one LM head per drafting position.
 
-Every ablation variant is reachable through ``DrafterConfig`` alone; the
-all-off configuration reproduces the independent-head (Medusa-style)
-computation graph.
+Every ablation variant is reachable through ``VARIANTS``; the all-off
+``medusa`` row reproduces the independent-head (Medusa-style) computation
+graph.
 
 One ``adapt`` serves every caller. ``draft`` (one decode step over the
 rolling caches) runs it tape-free on plain arrays. ``sequence_logits`` runs
@@ -14,7 +14,7 @@ arrays for evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,15 +26,17 @@ from .tensor import DimensionError, Parameter, Tensor
 ADAPTATION_MODES = ("staged", "one_layer", "none")
 # Tokens each head lists, best first: the widest choice index a tree can use.
 TOP_K = 10
+# The four flags a variant name sets (``VARIANTS``); no config file key sets them.
+_BY_VARIANT = {"file_key": False}
 
 
 @dataclass
 class DrafterConfig:
     K: int = 4
-    adaptation: str = "staged"
-    use_sampled_token: bool = True
-    use_auto_embedding: bool = True
-    use_positional_encoding: bool = True
+    adaptation: str = field(default="staged", metadata=_BY_VARIANT)
+    use_sampled_token: bool = field(default=True, metadata=_BY_VARIANT)
+    use_auto_embedding: bool = field(default=True, metadata=_BY_VARIANT)
+    use_positional_encoding: bool = field(default=True, metadata=_BY_VARIANT)
     encoder_layers: int = 1
     lm_head_rank: int | str = "full"
     sal_heads: int = 4
@@ -228,38 +230,25 @@ class Drafter(Module):
         return self.all_head_logits(self.auto_embed(h1, h2))
 
 
+# Each ablation variant's four flags, in ablation order: the one place they are
+# set, so a base config's flag values never reach a variant.
+_VARIANT_FLAGS = ("adaptation", "use_sampled_token", "use_auto_embedding", "use_positional_encoding")
+VARIANTS = {
+    name: dict(zip(_VARIANT_FLAGS, flags))
+    for name, flags in (
+        ("medusa", ("none", False, False, False)),
+        ("no-auto-embedding", ("staged", True, False, True)),
+        ("no-position-encoding", ("staged", True, True, False)),
+        ("no-staged-adaptation", ("none", False, True, True)),
+        ("one-adaptation-layer", ("one_layer", True, True, True)),
+        ("no-sampled-token", ("staged", False, True, True)),
+        ("amphista", ("staged", True, True, True)),
+    )
+}
+
+
 def variant_config(name: str, base: DrafterConfig) -> DrafterConfig:
-    """Resolve an ablation-variant name to a concrete config."""
-    name = name.replace("_", "-")
-    if name == "amphista":
-        return replace(base)
-    if name == "medusa":
-        return replace(
-            base,
-            adaptation="none",
-            use_sampled_token=False,
-            use_auto_embedding=False,
-            use_positional_encoding=False,
-        )
-    if name == "no-auto-embedding":
-        return replace(base, use_auto_embedding=False)
-    if name == "no-position-encoding":
-        return replace(base, use_positional_encoding=False)
-    if name == "no-staged-adaptation":
-        return replace(base, adaptation="none", use_sampled_token=False)
-    if name == "one-adaptation-layer":
-        return replace(base, adaptation="one_layer")
-    if name == "no-sampled-token":
-        return replace(base, use_sampled_token=False)
-    raise ValueError(f"unknown variant {name!r}")
-
-
-VARIANT_NAMES = (
-    "medusa",
-    "no-auto-embedding",
-    "no-position-encoding",
-    "no-staged-adaptation",
-    "one-adaptation-layer",
-    "no-sampled-token",
-    "amphista",
-)
+    """``base`` with all four variant flags set as variant ``name`` sets them."""
+    if name not in VARIANTS:
+        raise ValueError(f"unknown variant {name!r}")
+    return replace(base, **VARIANTS[name])

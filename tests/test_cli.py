@@ -9,7 +9,7 @@ from amphista import bench, cli
 from amphista.bench import AblationRow, LosslessnessError
 from amphista.checkpoint import CheckpointError, dump_state, load_checkpoint, save_checkpoint
 from amphista.cli import _build_configs, _build_system, main
-from amphista.drafter import VARIANT_NAMES, variant_config
+from amphista.drafter import VARIANTS, variant_config
 from amphista.engine import DrafterSession, ar_generate, speculative_generate
 from amphista.speculation import load_topology
 
@@ -172,7 +172,7 @@ class TestCommands:
         def recording(model_cfg, drafter_cfg, train_cfg, corpus_spec, run, seeds):
             seen.append((run, seeds))
             ones = dict.fromkeys(seeds, 1.0)
-            return [AblationRow(name, ones, ones) for name in VARIANT_NAMES]
+            return [AblationRow(name, ones, ones) for name in VARIANTS]
 
         monkeypatch.setattr(cli, "run_ablation_suite", recording)
         cfg = tmp_path / "ablate.cfg"
@@ -243,6 +243,14 @@ class TestTargetOnlyModes:
             _build_system(args, model_cfg, drafter_cfg, run_cfg)
 
 
+def _case(n, command, flags, extra_cfg, named):
+    """A rejected-config case with an explicit id that carries its own serial
+    ``n``, so a case inserted anywhere renames no other. The id keeps the form
+    pytest once derived from list positions, so existing cases kept theirs."""
+    case_id = f"{command}-flags{n}-{extra_cfg}-{named}"
+    return pytest.param(command, flags, extra_cfg, named, id=case_id)
+
+
 class TestNamedErrors:
     """A named error raised before any work exits 1 with one stderr line."""
 
@@ -280,9 +288,16 @@ class TestNamedErrors:
         assert main(argv) == 1
         assert "'bushy' is neither a preset nor an existing file" in self._one_line(capsys)
 
-    def test_head_acc_needs_a_drafter(self, tiny_cfg, tmp_path, capsys):
-        assert main(["head-acc", "--config", tiny_cfg, "--out", str(tmp_path), "--mode", "ar"]) == 1
-        assert "has none" in self._one_line(capsys)
+    def test_head_acc_needs_a_drafter(self, tiny_cfg, tmp_path, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("_build_system ran")
+
+        monkeypatch.setattr(cli, "_build_system", unreachable)
+        for mode in ("ar", "oracle"):
+            argv = ["head-acc", "--config", tiny_cfg, "--out", str(tmp_path / "ha"), "--mode", mode]
+            assert main(argv) == 1
+            assert f"--mode {mode} has none" in self._one_line(capsys)
+            assert not (tmp_path / "ha").exists()
 
     @pytest.mark.parametrize(
         "flags, named",
@@ -307,55 +322,62 @@ class TestNamedErrors:
     @pytest.mark.parametrize(
         "command, flags, extra_cfg, named",
         [
-            ("bench", ["--mode", "foo"], "", "RunConfig: unknown mode 'foo'"),
-            ("bench", [], "K=1\n", "DrafterConfig: need at least 2 drafting heads"),
-            ("generate", ["--temperature", "-1"], "", "RunConfig: temperature must be >= 0"),
-            ("bench", [], "K=abc\n", "DrafterConfig: K='abc': invalid literal for int()"),
-            ("bench", [], "n_prompts=0\n", "RunConfig: n_prompts must be >= 1, got 0"),
-            ("bench", ["--max-new-tokens", "0"], "", "RunConfig: max_new_tokens must be >= 1"),
-            ("ablate", [], "n_prompts=0\n", "RunConfig: n_prompts must be >= 1, got 0"),
-            ("train", [], "epochs=0\n", "TrainConfig: epochs must be >= 1, got 0"),
-            ("train", [], "batch_size=0\n", "TrainConfig: batch_size must be >= 1, got 0"),
-            (
-                "train",
-                [],
-                "target_epochs=abc\n",
-                "TrainConfig: target_epochs='abc': invalid literal for int()",
-            ),
-            ("train", [], "target_epochs=0\n", "TrainConfig: target_epochs must be >= 1, got 0"),
-            ("generate", ["--temperature", "nan"], "", "RunConfig: temperature must be >= 0 and"),
-            ("bench", [], "temperature=inf\n", "RunConfig: temperature must be >= 0 and finite"),
-            ("generate", [], "prompt_len=0\n", "RunConfig: prompt_len must be >= 1, got 0"),
-            ("train", [], "lr=-1\n", "TrainConfig: lr must be finite and > 0, got -1"),
-            ("train", [], "lr=0\n", "TrainConfig: lr must be finite and > 0, got 0"),
-            ("train", [], "lr=nan\n", "TrainConfig: lr must be finite and > 0, got nan"),
-            ("train", [], "lambda1=nan\n", "TrainConfig: loss weights must be finite"),
-            ("train", [], "lambda2=inf\n", "TrainConfig: loss weights must be finite"),
-            ("train", [], "lambda1=0\nlambda2=0\n", "TrainConfig: loss weights must be finite"),
-            ("train", [], "prompt_len=24\n", "prompt_len 24 must be < corpus_seq_len 24"),
-            ("train", [], "corpus_alpha=0\n", "CorpusSpec: alpha must be finite and > 0, got 0"),
-            (
-                "bench",
-                [],
-                "corpus_alpha=nan\n",
-                "CorpusSpec: alpha must be finite and > 0, got nan",
-            ),
-            (
-                "train",
-                [],
-                "corpus_context_mix=2\n",
-                "CorpusSpec: context_mix must be in [0, 1], got 2",
-            ),
-            ("bench", [], "corpus_order=0\n", "CorpusSpec: order must be >= 1, got 0"),
-            ("ablate", [], "corpus_vocab=1\n", "CorpusSpec: vocab must be >= 2, got 1"),
-            ("train", [], "corpus_seq_len=0\n", "CorpusSpec: seq_len must be >= 1, got 0"),
-            ("train", [], "corpus_n_sequences=0\n", "CorpusSpec: n_sequences must be >= 1, got 0"),
-            ("bench", ["--seed", "-1"], "", "RunConfig: seed must be >= 0, got -1"),
-            ("ablate", [], "ablation_seeds=0,-2\n", "AblationConfig: seeds must be >= 0, got -2"),
-            ("ablate", [], "prompt_len=24\n", "prompt_len 24 must be < corpus_seq_len 24"),
-            ("ablate", ["--topology", "bushy"], "", "'bushy' is neither a preset nor an existing file"),
-            ("ablate", [], "K=3\n", "topology 'searched' has depth 4; the drafter has K=3 heads"),
-            ("selfcheck", ["--seed", "-1"], "", "RunConfig: seed must be >= 0, got -1"),
+            _case(0, "bench", ["--mode", "foo"], "", "RunConfig: unknown mode 'foo'"),
+            _case(1, "bench", [], "K=1\n", "DrafterConfig: need at least 2 drafting heads"),
+            _case(2, "generate", ["--temperature", "-1"], "",
+                  "RunConfig: temperature must be >= 0"),
+            _case(3, "bench", [], "K=abc\n", "DrafterConfig: K='abc': invalid literal for int()"),
+            _case(4, "bench", [], "n_prompts=0\n", "RunConfig: n_prompts must be >= 1, got 0"),
+            _case(5, "bench", ["--max-new-tokens", "0"], "",
+                  "RunConfig: max_new_tokens must be >= 1"),
+            _case(6, "ablate", [], "n_prompts=0\n", "RunConfig: n_prompts must be >= 1, got 0"),
+            _case(7, "train", [], "epochs=0\n", "TrainConfig: epochs must be >= 1, got 0"),
+            _case(8, "train", [], "batch_size=0\n", "TrainConfig: batch_size must be >= 1, got 0"),
+            _case(9, "train", [], "target_epochs=abc\n",
+                  "TrainConfig: target_epochs='abc': invalid literal for int()"),
+            _case(10, "train", [], "target_epochs=0\n",
+                  "TrainConfig: target_epochs must be >= 1, got 0"),
+            _case(11, "generate", ["--temperature", "nan"], "",
+                  "RunConfig: temperature must be >= 0 and"),
+            _case(12, "bench", [], "temperature=inf\n",
+                  "RunConfig: temperature must be >= 0 and finite"),
+            _case(13, "generate", [], "prompt_len=0\n",
+                  "RunConfig: prompt_len must be >= 1, got 0"),
+            _case(14, "train", [], "lr=-1\n", "TrainConfig: lr must be finite and > 0, got -1"),
+            _case(15, "train", [], "lr=0\n", "TrainConfig: lr must be finite and > 0, got 0"),
+            _case(16, "train", [], "lr=nan\n", "TrainConfig: lr must be finite and > 0, got nan"),
+            _case(17, "train", [], "lambda1=nan\n", "TrainConfig: loss weights must be finite"),
+            _case(18, "train", [], "lambda2=inf\n", "TrainConfig: loss weights must be finite"),
+            _case(19, "train", [], "lambda1=0\nlambda2=0\n",
+                  "TrainConfig: loss weights must be finite"),
+            _case(20, "train", [], "prompt_len=24\n", "prompt_len 24 must be < corpus_seq_len 24"),
+            _case(21, "train", [], "corpus_alpha=0\n",
+                  "CorpusSpec: alpha must be finite and > 0, got 0"),
+            _case(22, "bench", [], "corpus_alpha=nan\n",
+                  "CorpusSpec: alpha must be finite and > 0, got nan"),
+            _case(23, "train", [], "corpus_context_mix=2\n",
+                  "CorpusSpec: context_mix must be in [0, 1], got 2"),
+            _case(24, "bench", [], "corpus_order=0\n", "CorpusSpec: order must be >= 1, got 0"),
+            _case(25, "ablate", [], "corpus_vocab=1\n", "CorpusSpec: vocab must be >= 2, got 1"),
+            _case(26, "train", [], "corpus_seq_len=0\n", "CorpusSpec: seq_len must be >= 1, got 0"),
+            _case(27, "train", [], "corpus_n_sequences=0\n",
+                  "CorpusSpec: n_sequences must be >= 1, got 0"),
+            _case(28, "bench", ["--seed", "-1"], "", "RunConfig: seed must be >= 0, got -1"),
+            _case(29, "ablate", [], "ablation_seeds=0,-2\n",
+                  "AblationConfig: seeds must be >= 0, got -2"),
+            _case(30, "ablate", [], "prompt_len=24\n", "prompt_len 24 must be < corpus_seq_len 24"),
+            _case(31, "ablate", ["--topology", "bushy"], "",
+                  "'bushy' is neither a preset nor an existing file"),
+            _case(32, "ablate", [], "K=3\n",
+                  "topology 'searched' has depth 4; the drafter has K=3 heads"),
+            _case(33, "selfcheck", ["--seed", "-1"], "", "RunConfig: seed must be >= 0, got -1"),
+            _case(34, "train", [], "adaptation=one_layer\n", "unknown key(s) adaptation;"),
+            _case(35, "ablate", [], "use_sampled_token=false\n",
+                  "unknown key(s) use_sampled_token;"),
+            _case(36, "bench", [], "use_auto_embedding=false\n",
+                  "unknown key(s) use_auto_embedding;"),
+            _case(37, "train", [], "use_positional_encoding=false\n",
+                  "unknown key(s) use_positional_encoding;"),
         ],
     )
     def test_rejected_config_value_before_building(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from amphista import tensor as T
-from amphista.drafter import TOP_K, Drafter, DrafterConfig, VARIANT_NAMES, topk_lists, variant_config
+from amphista.drafter import TOP_K, VARIANTS, Drafter, DrafterConfig, topk_lists, variant_config
 from amphista.gradcheck import grad_check
 from amphista.model import ModelConfig, TargetModel
 from amphista.tensor import DimensionError, NonFiniteError, Tensor
@@ -233,7 +233,7 @@ class TestDraftComposition:
         rng = np.random.default_rng(15)
         h_seq = rng.standard_normal((5, 16))
         toks = np.array([3, 7, 0, 23, 7])
-        cases = [(name, "full") for name in VARIANT_NAMES] + [("amphista", 8)]
+        cases = [(name, "full") for name in VARIANTS] + [("amphista", 8)]
         for variant, rank in cases:
             config = variant_config(variant, DrafterConfig(sal_heads=2))
             drafter = Drafter(replace(config, lm_head_rank=rank), tiny_model, np.random.default_rng(1))
@@ -257,15 +257,23 @@ class TestDraftComposition:
 
     def test_all_variants_constructible(self, tiny_model):
         base = DrafterConfig(sal_heads=2)
-        assert len(VARIANT_NAMES) == 7
-        for name in VARIANT_NAMES:
-            cfg = variant_config(name, base)
+        configs = [variant_config(name, base) for name in VARIANTS]
+        assert len({repr(c) for c in configs}) == 7  # seven pairwise-distinct variants
+        for cfg in configs:
             drafter = Drafter(cfg, tiny_model, np.random.default_rng(0))
             out = drafter.draft(rand_hidden(np.random.default_rng(1)), 0, drafter.new_state())
             assert out.d_logits.shape == (4, 24)
         medusa = variant_config("medusa", base)
         assert (medusa.adaptation, medusa.use_sampled_token) == ("none", False)
         assert (medusa.use_auto_embedding, medusa.use_positional_encoding) == (False, False)
+        # a base's own flag values never reach a variant, so no two names collide
+        for flags in (
+            dict(use_positional_encoding=False),
+            dict(use_auto_embedding=False),
+            dict(adaptation="one_layer"),
+        ):
+            other = replace(base, **flags)
+            assert [variant_config(name, other) for name in VARIANTS] == configs, flags
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
