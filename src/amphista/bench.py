@@ -119,14 +119,6 @@ def build_drafter(config: DrafterConfig, model: TargetModel, seed: int) -> Draft
     return Drafter(config, model, np.random.default_rng(np.random.SeedSequence([seed, 11])))
 
 
-def promoted_copy(model32: TargetModel, config: ModelConfig, seed: int) -> TargetModel:
-    """f64 evaluation twin of an f32-trained target (exact weight embedding)."""
-    model = build_model(config, seed)
-    model.load_state_dict(model32.state_dict())
-    model.freeze()
-    return model
-
-
 def pretrain_target(model_config: ModelConfig, train_config: TrainConfig, corpus, seed: int):
     """Pretrain the target in f32 for ``train_config.target_epochs`` and return
     (f32 target, frozen; its f64 twin; report). Training runs in f32 for speed
@@ -137,7 +129,10 @@ def pretrain_target(model_config: ModelConfig, train_config: TrainConfig, corpus
         config = replace(train_config, epochs=train_config.target_epochs, seed=seed)
         report = train_target(corpus, model32, config)
         model32.freeze()
-    return model32, promoted_copy(model32, model_config, seed), report
+    model = build_model(model_config, seed)  # f32 -> f64 is exact
+    model.load_state_dict(model32.state_dict())
+    model.freeze()
+    return model32, model, report
 
 
 def train_drafter(
@@ -148,13 +143,13 @@ def train_drafter(
     model: TargetModel,
     seed: int,
 ):
-    """Train a drafter in f32 on ``model32``, then promote it to f64 and
-    attach the embedding of ``model``, the f64 twin; return (drafter, report)."""
+    """Train a drafter in f32 on ``model32``, then load its weights into an
+    f64 drafter on ``model``, the f64 twin; return (f64 drafter, report)."""
     with T.dtype_context(np.float32):
-        drafter = build_drafter(drafter_config, model32, seed)
-        report = train(corpus, model32, drafter, replace(train_config, seed=seed))
-    drafter.promote_to(np.float64)
-    drafter.attach_token_embedding(model.token_emb)
+        drafter32 = build_drafter(drafter_config, model32, seed)
+        report = train(corpus, model32, drafter32, replace(train_config, seed=seed))
+    drafter = build_drafter(drafter_config, model, seed)
+    drafter.load_state_dict(drafter32.state_dict())
     return drafter, report
 
 
@@ -294,9 +289,9 @@ def run_prompt_set(
 
 
 def pass_tokens_per_sec(results: list[GenerationResult]) -> float:
-    """Throughput observed during an already-run measurement pass."""
+    """Tokens delivered per second of an already-run measurement pass."""
     wall = sum(r.wall_time for r in results)
-    return sum(r.emitted_raw for r in results) / wall if wall > 0 else 0.0
+    return sum(len(r.tokens) for r in results) / wall if wall > 0 else 0.0
 
 
 # -- event log ------------------------------------------------------------------

@@ -41,10 +41,11 @@ from .bench import (
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .configfile import ConfigError, coerce_dataclass, dump_config, file_keys, load_config
 from .corpus import CorpusSpec, detokenize, make_corpus, make_prompts, tokenize
-from .drafter import VARIANTS, DrafterConfig, variant_config
+from .drafter import TOP_K, VARIANTS, DrafterConfig, variant_config
 from .model import ModelConfig
 from .engine import EngineError
 from .speculation import TopologyError, format_topology, resolve_topology
+from .tensor import DimensionError
 from .training import TrainConfig, split_corpus
 
 
@@ -79,9 +80,10 @@ def _build_configs(args):
         RunConfig,
         raw,
         seed=args.seed,
-        mode=args.mode,
-        temperature=args.temperature,
-        topology=args.topology,
+        # a command without the flag keeps the config's value
+        mode=getattr(args, "mode", None),
+        temperature=getattr(args, "temperature", None),
+        topology=getattr(args, "topology", None),
         max_new_tokens=getattr(args, "max_new_tokens", None),
     )
     return raw, model_cfg, drafter_cfg, train_cfg, corpus_spec, run_cfg
@@ -103,6 +105,27 @@ def _check_prompt_len(run_cfg: RunConfig, corpus_spec: CorpusSpec) -> None:
 
 # Modes that decode without a drafter.
 _NO_DRAFTER = ("ar", "oracle")
+
+
+def _check_topology(run_cfg, model_cfg, drafter_cfg) -> None:
+    """Reject the run's tree before any work: it must resolve, a drafter
+    variant's must be K deep, and each choice index must fall in its head's
+    top-k list. ``ar`` and ``vanilla_chain`` do not decode on it."""
+    if run_cfg.mode in ("ar", "vanilla_chain"):
+        return
+    topology = resolve_topology(run_cfg.topology)
+    if run_cfg.mode in VARIANTS and topology.depth_max != drafter_cfg.K:
+        raise TopologyError(
+            f"topology {run_cfg.topology!r} has depth {topology.depth_max}; "
+            f"the drafter has K={drafter_cfg.K} heads"
+        )
+    top_k = min(TOP_K, model_cfg.vocab_size)
+    for path in topology.paths:
+        if path[-1] >= top_k:
+            raise TopologyError(
+                f"topology {run_cfg.topology!r}: choice index {path[-1]} at depth {len(path)} "
+                f"exceeds head {len(path)}'s top-k of {top_k}"
+            )
 
 
 def _variant_for_mode(mode: str, base: DrafterConfig) -> DrafterConfig:
@@ -136,9 +159,14 @@ def _build_system(args, model_cfg, drafter_cfg, run_cfg):
             raise CheckpointError(
                 f"{args.ckpt}: {what}; was the checkpoint trained for another mode?"
             )
-        model.load_state_dict(state, prefix="target.")
-        if drafter is not None:
-            drafter.load_state_dict(state, prefix="drafter.")
+        try:
+            model.load_state_dict(state, prefix="target.")
+            if drafter is not None:
+                drafter.load_state_dict(state, prefix="drafter.")
+        except DimensionError as err:
+            raise CheckpointError(
+                f"{args.ckpt}: {err}; was the checkpoint trained with another config?"
+            ) from err
     return model, drafter
 
 
@@ -185,8 +213,9 @@ def cmd_train(args) -> int:
 
 def cmd_generate(args) -> int:
     _, model_cfg, drafter_cfg, _, corpus_spec, run_cfg = _build_configs(args)
-    out = _outdir(args)
+    _check_topology(run_cfg, model_cfg, drafter_cfg)
     model, drafter = _build_system(args, model_cfg, drafter_cfg, run_cfg)
+    out = _outdir(args)
 
     if args.prompt is not None:
         prompt = tokenize(args.prompt)
@@ -211,8 +240,9 @@ def cmd_generate(args) -> int:
 
 def cmd_bench(args) -> int:
     _, model_cfg, drafter_cfg, _, corpus_spec, run_cfg = _build_configs(args)
-    out = _outdir(args)
+    _check_topology(run_cfg, model_cfg, drafter_cfg)
     model, drafter = _build_system(args, model_cfg, drafter_cfg, run_cfg)
+    out = _outdir(args)
     prompts = make_prompts(corpus_spec, run_cfg.seed, run_cfg.n_prompts, run_cfg.prompt_len)
 
     ar_run = replace(run_cfg, mode="ar")
@@ -245,8 +275,9 @@ def cmd_tree_search(args) -> int:
         raise ConfigError(
             f"tree-search calibrates greedily, not at --temperature {run_cfg.temperature:g}"
         )
-    out = _outdir(args)
+    _check_topology(run_cfg, model_cfg, drafter_cfg)
     model, drafter = _build_system(args, model_cfg, drafter_cfg, run_cfg)
+    out = _outdir(args)
     prompts = make_prompts(
         corpus_spec, run_cfg.seed, CALIBRATION_PROMPTS, run_cfg.prompt_len, CALIBRATION_STREAM
     )
@@ -274,12 +305,8 @@ def cmd_ablate(args) -> int:
     raw, model_cfg, drafter_cfg, train_cfg, corpus_spec, run_cfg = _build_configs(args)
     seeds = coerce_dataclass(AblationConfig, raw, prefix="ablation_").seeds
     _check_prompt_len(run_cfg, corpus_spec)
-    depth = resolve_topology(run_cfg.topology).depth_max
-    if depth != drafter_cfg.K:
-        raise ConfigError(
-            f"topology {run_cfg.topology!r} has depth {depth}; "
-            f"the drafter has K={drafter_cfg.K} heads"
-        )
+    # every variant decodes on the run's tree, whatever its mode
+    _check_topology(replace(run_cfg, mode="amphista"), model_cfg, drafter_cfg)
     out = _outdir(args)
     if args.seed is not None:
         seeds = tuple(args.seed + i for i in range(len(seeds)))
@@ -300,8 +327,8 @@ def cmd_head_acc(args) -> int:
     _, model_cfg, drafter_cfg, _, corpus_spec, run_cfg = _build_configs(args)
     if run_cfg.mode in _NO_DRAFTER:
         raise ConfigError(f"head-acc measures a drafter, and --mode {run_cfg.mode} has none")
-    out = _outdir(args)
     model, drafter = _build_system(args, model_cfg, drafter_cfg, run_cfg)
+    out = _outdir(args)
     # the held-out split that drafter training evaluates on
     held_out = split_corpus(make_corpus(corpus_spec, run_cfg.seed).sequences)[1]
     tables = write_head_accuracy_csv(
@@ -325,53 +352,45 @@ def cmd_selfcheck(args) -> int:
     return 1 if failed else 0
 
 
-def _add_shared_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
-    p.add_argument("--out", default="runs/out", help="output directory")
-    p.add_argument("--mode", default=None, help="ar | amphista | variant name | vanilla_chain | oracle")
-    p.add_argument("--temperature", type=float, default=None)
-    p.add_argument("--topology", default=None, help="preset name or topology file")
+# Every flag, defined once: its add_argument keywords.
+_FLAGS = {
+    "--config": dict(help="key=value config file"),
+    "--seed": dict(type=int, help="master seed (overrides config)"),
+    "--out": dict(default="runs/out", help="output directory"),
+    "--mode": dict(help="ar | amphista | variant name | vanilla_chain | oracle"),
+    "--temperature": dict(type=float),
+    "--topology": dict(help="preset name or topology file"),
+    "--ckpt": dict(help="checkpoint from `train`"),
+    "--prompt": dict(help="prompt text (default: synthetic)"),
+    "--max-new-tokens": dict(type=int),
+}
+
+# Each subcommand: its handler, its help line and the flags it reads.
+_DECODE = "--config --seed --out --mode --temperature --topology --ckpt"
+_COMMANDS = {
+    "train": (cmd_train, "pretrain the target, then train the drafter",
+              "--config --seed --out --mode"),
+    "generate": (cmd_generate, "decode one prompt and report metrics",
+                 f"{_DECODE} --prompt --max-new-tokens"),
+    "bench": (cmd_bench, "AR vs speculative decoding on a prompt set",
+              f"{_DECODE} --max-new-tokens"),
+    "tree-search": (cmd_tree_search, "build the draft tree of most tokens per second", _DECODE),
+    "ablate": (cmd_ablate, "train and compare the ablation variants",
+               "--config --seed --out --temperature --topology"),
+    "head-acc": (cmd_head_acc, "per-head top-1/top-5 and greedy top-1 accuracy table",
+                 "--config --seed --out --mode --ckpt"),
+    "selfcheck": (cmd_selfcheck, "run the hard-invariant checks", "--config --seed"),
+}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="amphista", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train", help="pretrain the target, then train the drafter")
-    _add_shared_flags(p)
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("generate", help="decode one prompt and report metrics")
-    _add_shared_flags(p)
-    p.add_argument("--ckpt", help="checkpoint from `train`")
-    p.add_argument("--prompt", help="prompt text (default: synthetic)")
-    p.add_argument("--max-new-tokens", type=int, dest="max_new_tokens")
-    p.set_defaults(fn=cmd_generate)
-
-    p = sub.add_parser("bench", help="AR vs speculative decoding on a prompt set")
-    _add_shared_flags(p)
-    p.add_argument("--ckpt", help="checkpoint from `train`")
-    p.add_argument("--max-new-tokens", type=int, dest="max_new_tokens")
-    p.set_defaults(fn=cmd_bench)
-
-    p = sub.add_parser("tree-search", help="build the draft tree of most tokens per second")
-    _add_shared_flags(p)
-    p.add_argument("--ckpt", help="checkpoint from `train`")
-    p.set_defaults(fn=cmd_tree_search)
-
-    p = sub.add_parser("ablate", help="train and compare the ablation variants")
-    _add_shared_flags(p)
-    p.set_defaults(fn=cmd_ablate)
-
-    p = sub.add_parser("head-acc", help="per-head top-1/top-5 and greedy top-1 accuracy table")
-    _add_shared_flags(p)
-    p.add_argument("--ckpt", help="checkpoint from `train`")
-    p.set_defaults(fn=cmd_head_acc)
-
-    p = sub.add_parser("selfcheck", help="run the hard-invariant checks")
-    _add_shared_flags(p)
-    p.set_defaults(fn=cmd_selfcheck)
+    for name, (fn, help_line, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(fn=fn)
 
     args = parser.parse_args(argv)
     try:

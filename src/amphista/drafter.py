@@ -147,12 +147,6 @@ class Drafter(Module):
         heads = self.config.sal_heads
         return DraftState(heads, self._hidden_dim // heads, self._max_seq_len)
 
-    def attach_token_embedding(self, param: Parameter) -> None:
-        """Rebind the frozen shared embedding (e.g. to a promoted target copy)."""
-        if param.shape != self._token_emb.shape:
-            raise DimensionError("embedding table shape mismatch")
-        self._token_emb = param
-
     # -- stage 1: adaptation ----------------------------------------------------
 
     def adapt(self, h, next_tokens, state: DraftState | None = None):

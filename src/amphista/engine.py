@@ -39,7 +39,6 @@ class GenerationResult:
     prompt_len: int
     tokens: list[int]  # new tokens, trimmed to the requested budget
     events: list[StepEvent] = field(default_factory=list)
-    emitted_raw: int = 0  # pre-trim count (whole verification rounds)
     wall_time: float = 0.0
 
     @property
@@ -198,6 +197,5 @@ def speculative_generate(
         prompt_len=len(prompt),
         tokens=new[:max_new_tokens],
         events=events,
-        emitted_raw=len(new),
         wall_time=time.perf_counter() - start,
     )

@@ -80,13 +80,6 @@ class Module:
                 )
             p.data = np.ascontiguousarray(arr, dtype=p.data.dtype)
 
-    def promote_to(self, dtype) -> None:
-        """Cast all parameters (f32 -> f64 is exact, so a model trained in f32
-        can be evaluated under the f64 decoding engine bit-stably)."""
-        for _, p in self.named_parameters():
-            p.data = p.data.astype(dtype)
-            p.grad = None
-
 
 def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
     bound = 1.0 / np.sqrt(max(fan_in, 1))

@@ -165,6 +165,18 @@ class TestDecodingLoops:
         ar = ar_generate(model, [1, 2, 3], max_new_tokens=26)
         assert res.tokens == ar.tokens
 
+    def test_throughput_counts_delivered_tokens_only(self):
+        """The oracle chain's last round accepts past the budget; tokens/s in
+        the timing sidecars counts only the tokens the request delivered."""
+        model = make_tiny_model(seed=2)
+        session = OracleDrafterSession(model, k=4)
+        res = speculative_generate(
+            model, session, [1, 2, 3], preset_topology("chain"), max_new_tokens=24
+        )
+        assert 1 + sum(e.accepted_len + 1 for e in res.events) == 26  # prefill + 5 rounds
+        assert len(res.tokens) == 24
+        assert bench.pass_tokens_per_sec([res]) * res.wall_time == pytest.approx(24)
+
     def test_untrained_drafter_matches_reference_loop(self):
         """The tree-verified engine must replay exactly like an independent
         sequential reference implementation of the same decision process."""

@@ -193,16 +193,73 @@ class TestCommands:
         assert "unknown mode 'warpdrive'" in capsys.readouterr().err
 
 
-def _medusa_checkpoint(tiny_cfg, path):
-    """An untrained system whose drafter is the medusa variant, saved as
-    ``amphista train --mode medusa`` would save it; its weights come from a
-    seed that no test decodes with, so only a load reproduces them."""
-    args = argparse.Namespace(
-        config=tiny_cfg, seed=99, mode="medusa", temperature=None, topology=None
+# Each command's flags: a flag added to or dropped from a command shows up here.
+PINNED_FLAGS = {
+    "train": {"--config", "--seed", "--out", "--mode"},
+    "generate": {"--config", "--seed", "--out", "--mode", "--temperature", "--topology",
+                 "--ckpt", "--prompt", "--max-new-tokens"},
+    "bench": {"--config", "--seed", "--out", "--mode", "--temperature", "--topology",
+              "--ckpt", "--max-new-tokens"},
+    "tree-search": {"--config", "--seed", "--out", "--mode", "--temperature", "--topology",
+                    "--ckpt"},
+    "ablate": {"--config", "--seed", "--out", "--temperature", "--topology"},
+    "head-acc": {"--config", "--seed", "--out", "--mode", "--ckpt"},
+    "selfcheck": {"--config", "--seed"},
+}
+
+# The (command, flag) pairs that were accepted and then ignored.
+UNREAD_FLAGS = [
+    ("train", "--temperature"),
+    ("train", "--topology"),
+    ("ablate", "--mode"),
+    ("head-acc", "--temperature"),
+    ("head-acc", "--topology"),
+    ("selfcheck", "--out"),
+    ("selfcheck", "--mode"),
+    ("selfcheck", "--temperature"),
+    ("selfcheck", "--topology"),
+]
+
+
+class TestFlags:
+    def test_flag_sets_are_pinned(self):
+        flags = {name: set(spec[2].split()) for name, spec in cli._COMMANDS.items()}
+        assert flags == PINNED_FLAGS
+        assert sum(len(f) for f in flags.values()) == 40
+
+    @pytest.mark.parametrize(
+        "command, flag", [pytest.param(c, f, id=f"{c}{f}") for c, f in UNREAD_FLAGS]
     )
+    def test_unread_flag_is_a_usage_error(
+        self, tiny_cfg, tmp_path, capsys, monkeypatch, command, flag
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work began before the flags were checked")
+
+        for name in ("_build_system", "run_ablation_suite", "train_system", "selfcheck"):
+            monkeypatch.setattr(cli, name, unreachable)
+        out = tmp_path / "out"
+        value = {"--out": str(out), "--mode": "medusa", "--temperature": "0.8",
+                 "--topology": "chain"}[flag]
+        argv = [command, "--config", tiny_cfg, flag, value]
+        if "--out" in PINNED_FLAGS[command]:
+            argv += ["--out", str(out)]
+        assert flag not in PINNED_FLAGS[command]
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _untrained_checkpoint(cfg, path, mode="medusa"):
+    """An untrained system whose drafter is the ``mode`` variant, saved as
+    ``amphista train --mode <mode>`` would save it; its weights come from a
+    seed that no test decodes with, so only a load reproduces them."""
+    args = argparse.Namespace(config=cfg, seed=99, mode=mode, temperature=None, topology=None)
     _, model_cfg, drafter_cfg, _, _, run_cfg = _build_configs(args)
     model = bench.build_model(model_cfg, run_cfg.seed)
-    drafter = bench.build_drafter(variant_config("medusa", drafter_cfg), model, run_cfg.seed)
+    drafter = bench.build_drafter(variant_config(mode, drafter_cfg), model, run_cfg.seed)
     state = model.state_dict(prefix="target.")
     state.update(drafter.state_dict(prefix="drafter."))
     save_checkpoint(path, state)
@@ -213,7 +270,7 @@ class TestTargetOnlyModes:
     @pytest.mark.parametrize("mode", ["ar", "oracle"])
     def test_bench_loads_only_the_target_of_a_medusa_checkpoint(self, tiny_cfg, tmp_path, mode):
         ckpt = tmp_path / "medusa.bin"
-        trained = _medusa_checkpoint(tiny_cfg, ckpt)
+        trained = _untrained_checkpoint(tiny_cfg, ckpt)
         args = argparse.Namespace(
             config=tiny_cfg, seed=1, mode=mode, temperature=None, topology=None, ckpt=str(ckpt)
         )
@@ -231,7 +288,7 @@ class TestTargetOnlyModes:
 
     def test_stray_target_keys_still_rejected(self, tiny_cfg, tmp_path):
         ckpt = tmp_path / "stray.bin"
-        _medusa_checkpoint(tiny_cfg, ckpt)
+        _untrained_checkpoint(tiny_cfg, ckpt)
         state = load_checkpoint(ckpt)
         state["target.extra.weight"] = state["target.token_emb"]
         save_checkpoint(ckpt, state)
@@ -267,10 +324,46 @@ class TestNamedErrors:
 
     def test_checkpoint_error(self, tiny_cfg, tmp_path, capsys):
         ckpt = tmp_path / "medusa.bin"
-        _medusa_checkpoint(tiny_cfg, ckpt)
+        _untrained_checkpoint(tiny_cfg, ckpt)
         argv = ["bench", "--config", tiny_cfg, "--out", str(tmp_path), "--ckpt", str(ckpt)]
         assert main(argv) == 1  # an amphista system lacks the medusa drafter's keys
         assert "was the checkpoint trained for another mode" in self._one_line(capsys)
+
+    @pytest.mark.parametrize(
+        "saved, loaded, named",
+        [
+            pytest.param("hidden_dim=16\n", "",
+                         "'target.token_emb': checkpoint shape (256, 16) != parameter shape (256, 32)",
+                         id="hidden_dim"),
+            pytest.param("sal_ffn_dim=32\n", "sal_ffn_dim=64\n",
+                         "'drafter.sal1.ffn.w1.weight': checkpoint shape (32, 32) != "
+                         "parameter shape (32, 64)",
+                         id="sal_ffn_dim"),
+        ],
+    )
+    def test_checkpoint_of_another_shape(self, tmp_path, capsys, saved, loaded, named):
+        (tmp_path / "saved.cfg").write_text(TINY + saved)
+        (tmp_path / "loaded.cfg").write_text(TINY + loaded)
+        ckpt = tmp_path / "other.bin"
+        _untrained_checkpoint(str(tmp_path / "saved.cfg"), ckpt, mode="amphista")
+        argv = ["bench", "--config", str(tmp_path / "loaded.cfg"), "--ckpt", str(ckpt),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert named in self._one_line(capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_choice_index_past_top_k(self, tiny_cfg, tmp_path, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("_build_system ran")
+
+        monkeypatch.setattr(cli, "_build_system", unreachable)
+        tree = tmp_path / "tree.txt"
+        tree.write_text("0\n0,0\n0,0,0\n0,0,0,0\n10\n")
+        argv = ["bench", "--config", tiny_cfg, "--topology", str(tree),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert "choice index 10 at depth 1 exceeds head 1's top-k of 10" in self._one_line(capsys)
+        assert not (tmp_path / "out").exists()
 
     def test_missing_checkpoint(self, tiny_cfg, tmp_path, capsys):
         ckpt = tmp_path / "absent.bin"
@@ -378,6 +471,10 @@ class TestNamedErrors:
                   "unknown key(s) use_auto_embedding;"),
             _case(37, "train", [], "use_positional_encoding=false\n",
                   "unknown key(s) use_positional_encoding;"),
+            _case(38, "bench", ["--topology", "bushy"], "",
+                  "'bushy' is neither a preset nor an existing file"),
+            _case(39, "generate", [], "K=3\n",
+                  "topology 'searched' has depth 4; the drafter has K=3 heads"),
         ],
     )
     def test_rejected_config_value_before_building(
@@ -391,7 +488,9 @@ class TestNamedErrors:
         monkeypatch.setattr(cli, "train_system", unreachable)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(TINY + extra_cfg)
-        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out"), *flags]
+        argv = [command, "--config", str(cfg), *flags]
+        if command != "selfcheck":  # the one command without --out
+            argv += ["--out", str(tmp_path / "out")]
         assert main(argv) == 1
         assert named in self._one_line(capsys)
         assert not (tmp_path / "out").exists()
