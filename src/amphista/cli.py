@@ -103,6 +103,18 @@ def _check_prompt_len(run_cfg: RunConfig, corpus_spec: CorpusSpec) -> None:
         )
 
 
+def _check_budget(model_cfg: ModelConfig, *parts: tuple[str, int]) -> None:
+    """Reject, before any work, a decode whose context cannot fit: it feeds
+    its prompt and all but its last new token to the target, as the engine
+    checks each request. ``parts`` name and count the prompt and new tokens."""
+    if sum(n for _, n in parts) - 1 > model_cfg.max_seq_len:
+        named = " + ".join(f"{name} {n}" for name, n in parts)
+        raise ConfigError(
+            f"{named} exceeds the context window of {model_cfg.max_seq_len} tokens "
+            "(a decode feeds the prompt and all but its last new token to the target)"
+        )
+
+
 # Modes that decode without a drafter.
 _NO_DRAFTER = ("ar", "oracle")
 
@@ -214,16 +226,15 @@ def cmd_train(args) -> int:
 def cmd_generate(args) -> int:
     _, model_cfg, drafter_cfg, _, corpus_spec, run_cfg = _build_configs(args)
     _check_topology(run_cfg, model_cfg, drafter_cfg)
-    model, drafter = _build_system(args, model_cfg, drafter_cfg, run_cfg)
-    out = _outdir(args)
-
     if args.prompt is not None:
         prompt = tokenize(args.prompt)
+        if not prompt:
+            raise ConfigError("--prompt is empty")
     else:
         prompt = make_prompts(corpus_spec, run_cfg.seed, 1, run_cfg.prompt_len)[0]
-    if not prompt:
-        print("error: empty prompt", file=sys.stderr)
-        return 1
+    _check_budget(model_cfg, ("prompt", len(prompt)), ("max_new_tokens", run_cfg.max_new_tokens))
+    model, drafter = _build_system(args, model_cfg, drafter_cfg, run_cfg)
+    out = _outdir(args)
 
     report, results = run_prompt_set(model, drafter, run_cfg, [prompt])
     write_event_log(out / "events.log", run_cfg, results)
@@ -241,6 +252,9 @@ def cmd_generate(args) -> int:
 def cmd_bench(args) -> int:
     _, model_cfg, drafter_cfg, _, corpus_spec, run_cfg = _build_configs(args)
     _check_topology(run_cfg, model_cfg, drafter_cfg)
+    _check_budget(
+        model_cfg, ("prompt_len", run_cfg.prompt_len), ("max_new_tokens", run_cfg.max_new_tokens)
+    )
     model, drafter = _build_system(args, model_cfg, drafter_cfg, run_cfg)
     out = _outdir(args)
     prompts = make_prompts(corpus_spec, run_cfg.seed, run_cfg.n_prompts, run_cfg.prompt_len)
@@ -276,6 +290,13 @@ def cmd_tree_search(args) -> int:
             f"tree-search calibrates greedily, not at --temperature {run_cfg.temperature:g}"
         )
     _check_topology(run_cfg, model_cfg, drafter_cfg)
+    # calibration decodes each prompt's AR reference to max_new_tokens + K
+    _check_budget(
+        model_cfg,
+        ("prompt_len", run_cfg.prompt_len),
+        ("max_new_tokens", run_cfg.max_new_tokens),
+        ("K", drafter_cfg.K),
+    )
     model, drafter = _build_system(args, model_cfg, drafter_cfg, run_cfg)
     out = _outdir(args)
     prompts = make_prompts(
@@ -307,6 +328,9 @@ def cmd_ablate(args) -> int:
     _check_prompt_len(run_cfg, corpus_spec)
     # every variant decodes on the run's tree, whatever its mode
     _check_topology(replace(run_cfg, mode="amphista"), model_cfg, drafter_cfg)
+    _check_budget(
+        model_cfg, ("prompt_len", run_cfg.prompt_len), ("max_new_tokens", run_cfg.max_new_tokens)
+    )
     out = _outdir(args)
     if args.seed is not None:
         seeds = tuple(args.seed + i for i in range(len(seeds)))

@@ -119,14 +119,7 @@ def silu(x):
     """x * sigmoid(x) on a Tensor (taped) or on an array."""
     if isinstance(x, Tensor):
         return T.silu(x)
-    # T.silu's sigmoid bit for bit, with one exp: exp(min(x, 0)) is exp(-|x|) if x < 0, else 1;
-    # e = exp(-|x|) <= 1, so the max picks e where x < 0 and 1 elsewhere, without a branch
-    e = np.abs(x)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    out = np.maximum(e, x >= 0)
-    e += 1.0
-    out /= e
+    out = T.sigmoid(x)
     out *= x
     return out
 

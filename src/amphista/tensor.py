@@ -43,6 +43,7 @@ __all__ = [
     "tsum",
     "softmax",
     "silu",
+    "sigmoid",
     "rms_norm",
     "embedding",
     "lookup",
@@ -285,7 +286,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def silu(x: Tensor) -> Tensor:
     """x * sigmoid(x), the smooth gate used throughout the feed-forward blocks."""
-    s = _stable_sigmoid(x.data)
+    s = sigmoid(x.data)
     out = x.data * s
 
     def bwd(g):
@@ -294,9 +295,18 @@ def silu(x: Tensor) -> Tensor:
     return _result(out, (x,), bwd)
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(min(x,0)) / (1 + exp(-|x|)): overflow-free on both tails
-    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) of a plain array, overflow-free on both tails, with
+    one exp: e = exp(-|x|) <= 1 is exp(x) where x < 0, so the max picks e
+    there and 1 elsewhere, without a branch. The same bits as the two-exp
+    exp(min(x, 0)) / (1 + exp(-|x|))."""
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    s = np.maximum(e, x >= 0)
+    e += 1.0
+    s /= e
+    return s
 
 
 # -- shape ops -------------------------------------------------------------------

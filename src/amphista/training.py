@@ -3,9 +3,10 @@ decoupled-weight-decay adaptive optimizer, warmup + cosine schedule.
 
 The adaptation layers train with full-sequence causal attention (teacher
 forcing: the sampled-token input is the ground-truth next token), which is
-step-for-step equivalent to the cached inference computation.
-``teacher_forced`` runs the frozen target once per batch, off the tape, for
-both training and evaluation; only the drafter (and, in ``train_target``, the
+step-for-step equivalent to the cached inference computation. The target is
+frozen, so what it contributes is constant for a run: ``teacher_forced``
+runs it once per row, off the tape, into a ``TeacherView`` that training
+batches and evaluation read. Only the drafter (and, in ``train_target``, the
 target being pretrained) runs on the tape.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,22 +43,22 @@ class LossWeights:
 
 def compute_losses(
     d_logits: Tensor,
-    target_logits,
+    target_probs,
     gt,
     weights: LossWeights,
 ) -> tuple[Tensor, Tensor, Tensor]:
     """Return (total, alignment, lm) for per-head draft logits [..., K, V].
 
     alignment: mean soft cross-entropy of each head against the target
-    model's softmax distribution for that future position. lm: mean hard
-    cross-entropy against the ground-truth tokens.
+    model's softmax distribution ``target_probs`` for that future position.
+    lm: mean hard cross-entropy against the ground-truth tokens.
     """
-    tl = target_logits.data if isinstance(target_logits, Tensor) else np.asarray(target_logits)
-    if tl.shape != d_logits.shape:
+    tp = np.asarray(target_probs)
+    if tp.shape != d_logits.shape:
         raise T.DimensionError(
-            f"target logits shape {tl.shape} != draft logits shape {d_logits.shape}"
+            f"target probabilities shape {tp.shape} != draft logits shape {d_logits.shape}"
         )
-    alignment = T.cross_entropy(d_logits, T.stable_softmax(tl))
+    alignment = T.cross_entropy(d_logits, tp)
     lm = T.cross_entropy(d_logits, np.asarray(gt, dtype=np.int64))
     dt = d_logits.data.dtype
     total = T.add(
@@ -95,15 +96,25 @@ class AdamW:
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        for i, p in enumerate(self.params):
+        # in place, each product and sum in the order of the textbook
+        # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;  p -= lr*m_hat / (sqrt(v_hat) + eps)
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             if self.weight_decay:
                 p.data -= lr * self.weight_decay * p.data
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[i] / c1
-            v_hat = self.v[i] / c2
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            g2 = g * g
+            g2 *= 1.0 - self.beta2
+            v *= self.beta2
+            v += g2
+            den = v / c2
+            np.sqrt(den, out=den)
+            den += self.eps
+            step = m / c1
+            step *= lr
+            step /= den
+            p.data -= step
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -204,33 +215,78 @@ def _as_token_matrix(sequences: list[list[int]]) -> np.ndarray:
     return np.asarray(sequences, dtype=np.int64)
 
 
-def teacher_forced(model: TargetModel, tokens: np.ndarray, k: int):
-    """The frozen target's teacher-forced view of [B, T] ``tokens`` for K
-    heads: (hidden [B, T-1, d], target logits [B, T', K, V], tokens [B, T', K]).
+# Token rows per frozen-target forward while a view is built, and per drafter
+# call while one is evaluated: the transient memory of either is one chunk's
+# forward, whatever the corpus size. 8 to 128 rows build and evaluate the
+# configs/toy.cfg views in the same time.
+VIEW_CHUNK = 16
 
-    Hidden row t, with token t+1, is what the heads draft from there. The
-    T' = T-K-1 positions are those with a full K-token future; at each, head
-    k's window holds the target's logits for, and the token at, position
-    t+2+k."""
-    t_valid = tokens.shape[1] - k - 1
+
+def _windows(a: np.ndarray, start: int, t_valid: int, k: int) -> np.ndarray:
+    """[N, t_valid, k, ...]: window i at position t holds a[:, start + t + i]."""
+    return np.stack([a[:, start + i : start + i + t_valid] for i in range(k)], axis=2)
+
+
+@dataclass
+class TeacherView:
+    """The frozen target's teacher-forced view of N token rows of length T
+    for K heads, at the T' = T-K-1 positions that have a full K-token future.
+    At position t the heads draft from hidden row t with token t+1, and head
+    k's window is position t+2+k: the target's distribution there (its
+    logits row t+1+k), the target's greedy token and the ground-truth token."""
+
+    hidden: np.ndarray  # [N, T', d]
+    next_tokens: np.ndarray  # [N, T']
+    probs: np.ndarray  # [N, T-2, V]: softmax of logits rows 1..T-2, once per position
+    greedy: np.ndarray  # [N, T', K]: argmax of the target logits in each window
+    gt: np.ndarray  # [N, T', K]: the ground-truth token in each window
+
+    def rows(self, index) -> "TeacherView":
+        """The view of the rows ``index`` selects: a copy for an index
+        array, a view of this one's arrays for a slice."""
+        return TeacherView(*(getattr(self, f.name)[index] for f in fields(self)))
+
+    def target_probs(self) -> np.ndarray:
+        """Each window's target distribution, [N, T', K, V]."""
+        return _windows(self.probs, 0, *self.gt.shape[1:])
+
+
+def teacher_forced(model: TargetModel, tokens: np.ndarray, k: int) -> TeacherView:
+    """The frozen target's ``TeacherView`` of [N, T] ``tokens`` for K heads.
+
+    The target runs once per row, tape-free, ``VIEW_CHUNK`` rows at a time;
+    each chunk keeps the hidden rows the heads draft from and its
+    probabilities and greedy tokens, and drops the rest of the forward."""
+    n, t = tokens.shape
+    t_valid = t - k - 1
     if t_valid < 1:
-        raise TrainingError(
-            f"sequences of length {tokens.shape[1]} are shorter than K+2={k + 2} tokens"
-        )
-    out = model.forward_batch(tokens)
+        raise TrainingError(f"sequences of length {t} are shorter than K+2={k + 2} tokens")
+    dtype = model.token_emb.data.dtype
+    hidden = np.empty((n, t_valid, model.config.hidden_dim), dtype=dtype)
+    probs = np.empty((n, t - 2, model.config.vocab_size), dtype=dtype)
+    greedy = np.empty((n, t - 2), dtype=np.int64)
+    for lo in range(0, n, VIEW_CHUNK):
+        chunk = slice(lo, lo + VIEW_CHUNK)
+        out = model.forward_batch(tokens[chunk])
+        logits = out.logits.data[:, 1:-1]
+        hidden[chunk] = out.hidden.data[:, :t_valid]
+        probs[chunk] = T.stable_softmax(logits)
+        greedy[chunk] = logits.argmax(axis=-1)
+    return TeacherView(
+        hidden=hidden,
+        next_tokens=tokens[:, 1 : 1 + t_valid],
+        probs=probs,
+        greedy=_windows(greedy, 0, t_valid, k),
+        gt=_windows(tokens, 2, t_valid, k),
+    )
 
-    def windows(a, start):
-        return np.stack([a[:, start + i : start + i + t_valid] for i in range(k)], axis=2)
 
-    return out.hidden.data[:, :-1], windows(out.logits.data, 1), windows(tokens, 2)
-
-
-def batch_draft_logits(model: TargetModel, drafter: Drafter, tokens: np.ndarray):
-    """Teacher-forced forward: returns (d_logits [B,T',K,V], target_logits, gt),
-    the draft logits on the tape."""
-    hidden, target_logits, gt = teacher_forced(model, tokens, drafter.config.K)
-    d_logits = drafter.sequence_logits(Tensor(hidden), tokens[:, 1:])
-    return T.narrow(d_logits, 1, 0, gt.shape[1]), target_logits, gt
+def batch_draft_logits(drafter: Drafter, view: TeacherView):
+    """Teacher-forced forward over a batch's view: returns (d_logits
+    [B, T', K, V] on the tape, target probabilities, gt). ``adapt`` is
+    causal, so the T' rows give the bits they have in a longer sequence."""
+    d_logits = drafter.sequence_logits(Tensor(view.hidden), view.next_tokens)
+    return d_logits, view.target_probs(), view.gt
 
 
 def split_corpus(sequences: list[list[int]], held_out_frac: float = 0.1):
@@ -245,15 +301,12 @@ def corpus_sequences(corpus) -> list[list[int]]:
     return corpus.sequences if hasattr(corpus, "sequences") else list(corpus)
 
 
-def _minibatch_epochs(
-    tokens_all: np.ndarray, params: list[Parameter], config: TrainConfig, loss_terms
-):
-    """Train ``params`` with AdamW on shuffled minibatches of the rows of
-    ``tokens_all``, under a warmup + cosine schedule over every step of the
-    run. ``loss_terms(batch)`` returns loss Tensors, and the first of them is
-    the one minimized. Yields, after each epoch, every term's mean per
-    sequence over that epoch."""
-    n = tokens_all.shape[0]
+def _minibatch_epochs(n: int, params: list[Parameter], config: TrainConfig, loss_terms):
+    """Train ``params`` with AdamW on shuffled minibatches of ``n`` rows,
+    under a warmup + cosine schedule over every step of the run.
+    ``loss_terms(rows)`` returns loss Tensors for the row indices ``rows``,
+    and the first of them is the one minimized. Yields, after each epoch,
+    every term's mean per sequence over that epoch."""
     steps_per_epoch = (n + config.batch_size - 1) // config.batch_size
     total_steps = config.epochs * steps_per_epoch
     schedule = Schedule(
@@ -268,14 +321,15 @@ def _minibatch_epochs(
         order = rng.permutation(n)
         sums, seen = 0.0, 0
         for lo in range(0, n, config.batch_size):
-            batch = tokens_all[order[lo : lo + config.batch_size]]
+            rows = order[lo : lo + config.batch_size]
             step += 1
-            terms = loss_terms(batch)
+            terms = loss_terms(rows)
             opt.zero_grad()
             terms[0].backward()
             opt.step(lr_at(step, schedule))
-            sums = sums + np.array([t.item() for t in terms]) * len(batch)
-            seen += len(batch)
+            sums = sums + np.array([t.item() for t in terms]) * len(rows)
+            seen += len(rows)
+            del terms  # this step's tape, before the next step builds its own
         yield (sums / seen).tolist()
     opt.zero_grad()
 
@@ -286,20 +340,26 @@ def train(
     drafter: Drafter,
     config: TrainConfig,
 ) -> TrainReport:
-    """Train the drafter with the dual objective; the target stays frozen."""
+    """Train the drafter with the dual objective; the target stays frozen.
+
+    The target's ``TeacherView`` of the training rows and of the held-out
+    rows is built once, at the start; every minibatch gathers its rows from
+    the first, and every epoch's evaluation reads the second."""
     if any(p.requires_grad for p in model.parameters()):
         raise TrainingError("target model must be frozen before drafter training")
     train_seqs, held_seqs = split_corpus(corpus_sequences(corpus))
     weights = LossWeights(config.lambda1, config.lambda2)
+    k = drafter.config.K
+    train_view = teacher_forced(model, _as_token_matrix(train_seqs), k)
+    held_view = teacher_forced(model, _as_token_matrix(held_seqs), k)
 
-    def loss_terms(batch):
-        return compute_losses(*batch_draft_logits(model, drafter, batch), weights)
+    def loss_terms(rows):
+        return compute_losses(*batch_draft_logits(drafter, train_view.rows(rows)), weights)
 
-    tokens_all = _as_token_matrix(train_seqs)
-    epochs = _minibatch_epochs(tokens_all, drafter.parameters(), config, loss_terms)
+    epochs = _minibatch_epochs(len(train_seqs), drafter.parameters(), config, loss_terms)
     report = TrainReport()
     for epoch, (total, alignment, lm) in enumerate(epochs, 1):
-        top1, top5 = measure_head_accuracy(held_seqs, model, drafter, top_ns=(1, 5))
+        top1, top5 = measure_head_accuracy(held_view, model, drafter, top_ns=(1, 5))
         report.epochs.append(
             EpochStats(
                 epoch=epoch,
@@ -313,14 +373,18 @@ def train(
     return report
 
 
-def _eval_draft_logits(model: TargetModel, drafter: Drafter, seq) -> tuple[np.ndarray, ...]:
-    """One sequence, tape-free: its draft logits [T', K, V], then its
-    ``teacher_forced`` target logits [T', K, V] and tokens [T', K]."""
-    tokens = np.asarray(seq, dtype=np.int64)[None]
-    hidden, target_logits, gt = teacher_forced(model, tokens, drafter.config.K)
-    # wrapped once for its NaN/Inf check
-    d_logits = Tensor(drafter.sequence_logits(hidden[0], tokens[0, 1:])).data
-    return d_logits[: gt.shape[1]], target_logits[0], gt[0]
+def _eval_chunks(sequences, model: TargetModel, drafter: Drafter):
+    """The ``TeacherView`` of ``sequences`` (or ``sequences`` itself, when it
+    is one), ``VIEW_CHUNK`` rows at a time: yields each chunk's view and its
+    draft logits [n, T', K, V] from one tape-free drafter call."""
+    view = sequences
+    if not isinstance(view, TeacherView):
+        tokens = _as_token_matrix(corpus_sequences(sequences))
+        view = teacher_forced(model, tokens, drafter.config.K)
+    for lo in range(0, len(view.gt), VIEW_CHUNK):
+        part = view.rows(slice(lo, lo + VIEW_CHUNK))
+        # wrapped once for its NaN/Inf check
+        yield part, Tensor(drafter.sequence_logits(part.hidden, part.next_tokens)).data
 
 
 def measure_head_accuracy(
@@ -330,15 +394,19 @@ def measure_head_accuracy(
     top_ns: tuple[int, ...] = (1, 5),
 ) -> tuple[list[float], ...]:
     """Per-head top-n accuracy: head k is correct@n at position t iff the true
-    token at t+1+k ranks in its top n. Returns one list per requested n."""
+    token at t+1+k ranks in its top n. Returns one list per requested n.
+
+    ``sequences`` may be their ``TeacherView``. A token's rank is its place
+    in a stable sort by descending logit: the tokens of a greater logit, and
+    those of an equal logit and a lower id, come before it."""
     hits, total = 0, 0
-    for seq in corpus_sequences(sequences):
-        d_logits, _, corpus = _eval_draft_logits(model, drafter, seq)
-        order = np.argsort(-d_logits, axis=-1, kind="stable")
-        hits = hits + np.stack(
-            [(order[..., :n] == corpus[..., None]).any(axis=-1).sum(axis=0) for n in top_ns]
-        )
-        total += len(corpus)
+    for part, d_logits in _eval_chunks(sequences, model, drafter):
+        truth = part.gt[..., None]
+        d_true = np.take_along_axis(d_logits, truth, axis=-1)
+        ids = np.arange(d_logits.shape[-1])
+        rank = ((d_logits > d_true) | ((d_logits == d_true) & (ids < truth))).sum(axis=-1)
+        hits = hits + np.stack([(rank < n).sum(axis=(0, 1)) for n in top_ns])
+        total += rank.shape[0] * rank.shape[1]
     return tuple((row / total).tolist() for row in hits)
 
 
@@ -349,11 +417,9 @@ def measure_greedy_top1(
     its top-1 is the target's teacher-forced argmax for position t+1+k, the
     token greedy verification accepts there."""
     hits, total = 0, 0
-    for seq in sequences:
-        d_logits, target_logits, _ = _eval_draft_logits(model, drafter, seq)
-        target = target_logits.argmax(axis=-1)
-        hits = hits + (d_logits.argmax(axis=-1) == target).sum(axis=0)
-        total += len(target)
+    for part, d_logits in _eval_chunks(sequences, model, drafter):
+        hits = hits + (d_logits.argmax(axis=-1) == part.greedy).sum(axis=(0, 1))
+        total += part.greedy.shape[0] * part.greedy.shape[1]
     return (hits / total).tolist()
 
 
@@ -364,11 +430,12 @@ class TargetTrainReport:
 
 def train_target(corpus, model: TargetModel, config: TrainConfig) -> TargetTrainReport:
     """Plain next-token pretraining for the toy target model."""
+    tokens_all = _as_token_matrix(corpus_sequences(corpus))
 
-    def loss_terms(batch):
+    def loss_terms(rows):
+        batch = tokens_all[rows]
         logits = T.narrow(model.forward_batch(batch).logits, 1, 0, batch.shape[1] - 1)
         return (T.cross_entropy(logits, batch[:, 1:]),)
 
-    tokens_all = _as_token_matrix(corpus_sequences(corpus))
-    epochs = _minibatch_epochs(tokens_all, model.parameters(), config, loss_terms)
+    epochs = _minibatch_epochs(len(tokens_all), model.parameters(), config, loss_terms)
     return TargetTrainReport([loss for (loss,) in epochs])

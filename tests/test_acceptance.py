@@ -28,7 +28,14 @@ from amphista.engine import OracleDrafterSession, speculative_generate
 from amphista.gradcheck import grad_check
 from amphista.model import ModelConfig, TargetModel
 from amphista.speculation import TreeTopology, chain_accept_step, preset_topology
-from amphista.training import LossWeights, TrainConfig, batch_draft_logits, compute_losses, train
+from amphista.training import (
+    LossWeights,
+    TrainConfig,
+    batch_draft_logits,
+    compute_losses,
+    teacher_forced,
+    train,
+)
 
 from conftest import random_tree_paths
 
@@ -104,9 +111,11 @@ def test_criterion_03_gradient_integrity():
     rng = np.random.default_rng(0)
     tokens = rng.integers(64, 96, size=(2, 10))
 
+    view = teacher_forced(model, tokens, drafter.config.K)
+
     def fn():
-        d_logits, target_logits, gt = batch_draft_logits(model, drafter, tokens)
-        total, _, _ = compute_losses(d_logits, target_logits, gt, LossWeights())
+        d_logits, target_probs, gt = batch_draft_logits(drafter, view)
+        total, _, _ = compute_losses(d_logits, target_probs, gt, LossWeights())
         return total
 
     report = grad_check(

@@ -360,16 +360,15 @@ class TestHeadAccuracyHarness:
             res = ar_generate(model, start, max_new_tokens=18)
             seqs.append(start + res.tokens)
 
+        with T.no_grad():
+            logits = model.forward_batch(np.asarray(seqs)).logits.data
+
         def oracle_logits(hidden, _next_tokens):
             # head k (0-indexed) predicts position t+k+2, whose target logits
-            # sit at position t+k+1 of a teacher-forced forward; every scored
-            # position t < T-5 reads a row of ``hidden`` (positions 0..T-2)
-            logits = model.lm_head(hidden)
-            t = len(hidden)
-            rows = np.stack(
-                [np.stack([logits[min(t0 + k + 1, t - 1)] for k in range(4)]) for t0 in range(t)]
-            )
-            return rows
+            # sit at position t+k+1 of the teacher-forced forward of ``seqs``;
+            # ``hidden`` holds the scored positions t < T-5 of every sequence
+            t = hidden.shape[-2]
+            return np.stack([logits[:, k + 1 : k + 1 + t] for k in range(4)], axis=-2)
 
         drafter = make_tiny_drafter(model)
         monkeypatch.setattr(drafter, "sequence_logits", oracle_logits)
@@ -385,8 +384,8 @@ class TestHeadAccuracyHarness:
         rng = np.random.default_rng(77)
 
         def random_logits(hidden, _next_tokens):
-            rows = np.full((len(hidden), 4, 256), -1e9)
-            rows[:, :, 64 : 64 + 32] = rng.standard_normal((len(hidden), 4, 32))
+            rows = np.full(hidden.shape[:-1] + (4, 256), -1e9)
+            rows[..., 64 : 64 + 32] = rng.standard_normal(hidden.shape[:-1] + (4, 32))
             return rows
 
         model = make_tiny_model(config=SMALL_MODEL)  # its vocabulary holds the corpus bytes
@@ -418,7 +417,9 @@ class TestHeadAccuracyHarness:
         rows = np.stack(
             [np.stack([logits[min(t0 + k + 1, t - 1)] for k in range(4)]) for t0 in range(t - 1)]
         )
-        monkeypatch.setattr(drafter, "sequence_logits", lambda hidden, next_tokens: rows)
+        monkeypatch.setattr(
+            drafter, "sequence_logits", lambda hidden, next_tokens: rows[None, : hidden.shape[-2]]
+        )
         assert measure_greedy_top1([tokens], model, drafter) == [1.0, 1.0, 1.0, 1.0]
         (top1,) = measure_head_accuracy([tokens], model, drafter, top_ns=(1,))
         assert min(top1) < 1.0

@@ -475,6 +475,15 @@ class TestNamedErrors:
                   "'bushy' is neither a preset nor an existing file"),
             _case(39, "generate", [], "K=3\n",
                   "topology 'searched' has depth 4; the drafter has K=3 heads"),
+            _case(40, "bench", ["--max-new-tokens", "300"], "",
+                  "prompt_len 8 + max_new_tokens 300 exceeds the context window of 256 tokens"),
+            _case(41, "ablate", [], "max_new_tokens=250\n",
+                  "prompt_len 8 + max_new_tokens 250 exceeds the context window of 256 tokens"),
+            _case(42, "tree-search", [], "max_new_tokens=246\n",
+                  "prompt_len 8 + max_new_tokens 246 + K 4 exceeds the context window"),
+            _case(43, "generate", ["--prompt", "x" * 250, "--max-new-tokens", "8"], "",
+                  "prompt 250 + max_new_tokens 8 exceeds the context window of 256 tokens"),
+            _case(44, "generate", ["--prompt", ""], "", "--prompt is empty"),
         ],
     )
     def test_rejected_config_value_before_building(

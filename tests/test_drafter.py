@@ -11,7 +11,13 @@ from amphista.drafter import TOP_K, VARIANTS, Drafter, DrafterConfig, topk_lists
 from amphista.gradcheck import grad_check
 from amphista.model import ModelConfig, TargetModel
 from amphista.tensor import DimensionError, NonFiniteError, Tensor
-from amphista.training import LossWeights, batch_draft_logits, compute_losses, measure_head_accuracy
+from amphista.training import (
+    LossWeights,
+    batch_draft_logits,
+    compute_losses,
+    measure_head_accuracy,
+    teacher_forced,
+)
 
 from conftest import make_tiny_drafter, make_tiny_model
 
@@ -320,9 +326,11 @@ class TestGradientIntegrity:
         drafter = make_tiny_drafter(model, seed=31)
         tokens = np.array([[1, 2, 3, 4, 5, 6, 7, 8], [9, 10, 11, 12, 13, 14, 15, 16]])
 
+        view = teacher_forced(model, tokens, drafter.config.K)
+
         def fn():
-            d_logits, target_logits, gt = batch_draft_logits(model, drafter, tokens)
-            total, _, _ = compute_losses(d_logits, target_logits, gt, LossWeights())
+            d_logits, target_probs, gt = batch_draft_logits(drafter, view)
+            total, _, _ = compute_losses(d_logits, target_probs, gt, LossWeights())
             return total
 
         report = grad_check(

@@ -169,7 +169,7 @@ class TestSoftmax:
             p = np.exp(row - row.max())
             return p / p.sum()
 
-        def block(rows):  # speculation._head_dists, training.compute_losses, T.softmax
+        def block(rows):  # speculation._head_dists, training.teacher_forced, T.softmax
             ex = np.exp(rows - rows.max(axis=-1, keepdims=True))
             return ex / ex.sum(axis=-1, keepdims=True)
 
