@@ -337,7 +337,7 @@ def tree_attention_max_diff(
     model.forward(prompt, cache)
     base = cache.length
     tout = model.forward(
-        tokens, cache, mask=topology.mask, positions=base + np.asarray(topology.depth)
+        tokens, cache, mask=topology.mask, positions=base + topology.depth_array
     )
     worst = 0.0
     for node in range(topology.node_count):

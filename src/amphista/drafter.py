@@ -156,8 +156,7 @@ class Drafter(Module):
         with a ``state`` (unbatched [T, d] only) attends to and extends its
         caches, so T rows in one call match T one-row calls."""
         ids = np.asarray(next_tokens)
-        if ids.size and (ids.min() < 0 or ids.max() >= self._vocab):  # even where unused
-            raise IndexError(f"sampled token out of range [0, {self._vocab})")
+        T.check_ids(ids, self._vocab, "sampled token")  # even where unused
         if self.config.adaptation == "none":
             return h, h
         taped = isinstance(h, Tensor)
@@ -180,9 +179,9 @@ class Drafter(Module):
         to each other. Input [..., d]; output [..., K, d], Tensors or arrays
         alike. The first floor(K/2) rows derive from h1, the rest from h2."""
         k_half = self.config.K // 2
-        rows = [silu(self.mlps[k](h1 if k < k_half else h2)) for k in range(self.config.K)]
+        rows = [self.mlps[k](h1 if k < k_half else h2) for k in range(self.config.K)]
         taped = isinstance(h1, Tensor)
-        out = T.stack(rows, axis=-2) if taped else np.stack(rows, axis=-2)
+        out = silu(T.stack(rows, axis=-2) if taped else np.stack(rows, axis=-2))
         if self.config.use_positional_encoding:
             out = out + (self.pe if taped else self.pe.data)
         if self.config.use_auto_embedding:

@@ -21,7 +21,7 @@ from .nn import (
     TransformerLayer,
     tree_mask_bias,
 )
-from .tensor import DimensionError, Tensor
+from .tensor import DimensionError, NonFiniteError, Tensor
 
 
 @dataclass
@@ -130,7 +130,8 @@ class TargetModel(Module):
         lower-triangular (j <= i, as ``build_mask`` makes it) and
         ``positions`` must then be supplied.
 
-        Runs tape-free (see ``_output`` for the NaN/Inf check).
+        Runs tape-free (see ``_output`` for the NaN/Inf check). Every check
+        raises before ``cache`` changes; a NaN or Inf output rolls it back.
         """
         tokens = np.asarray(tokens, dtype=np.int64)
         n = tokens.shape[0] if tokens.ndim else 0
@@ -152,21 +153,25 @@ class TargetModel(Module):
                 )
             if positions is None:
                 raise DimensionError("tree-masked forward requires explicit positions")
-        if positions is None:
-            positions = base + np.arange(n)
-        positions = np.asarray(positions, dtype=np.int64)
-        if positions.shape != (n,):
-            raise DimensionError(f"positions length {positions.shape} != token count {n}")
-        if positions.max() >= self.config.max_seq_len:
-            raise DimensionError("position id exceeds max_seq_len")
-
+        if positions is None:  # in range: the overflow check above passed
+            pos = self.pos_emb.data[base : base + n]
+        else:
+            positions = np.asarray(positions, dtype=np.int64)
+            if positions.shape != (n,):
+                raise DimensionError(f"positions length {positions.shape} != token count {n}")
+            T.check_ids(positions, self.config.max_seq_len, "position id")
+            pos = self.pos_emb.data[positions]
         bias = None if mask is None else tree_mask_bias(mask, self.token_emb.data.dtype)
-        x = T.lookup(self.token_emb.data, tokens) + T.lookup(self.pos_emb.data, positions)
+        x = T.lookup(self.token_emb.data, tokens) + pos
         causal = mask is None
         for i, (layer, kv) in enumerate(zip(self.layers, cache.layers)):
             last_rows = 1 if causal and i == len(self.layers) - 1 else None
             x = layer(x, cache=kv, mask_bias=bias, causal=causal, last_rows=last_rows)
-        return self._output(self.final_norm(x))
+        try:
+            return self._output(self.final_norm(x))
+        except NonFiniteError:
+            cache.truncate(base)  # a failed forward leaves no new rows in the cache
+            raise
 
     def forward_batch(self, tokens: np.ndarray) -> TargetOutput:
         """Causal full-sequence forward over [B, T] token ids (no cache).
@@ -179,11 +184,10 @@ class TargetModel(Module):
         t = tokens.shape[1]
         if t > self.config.max_seq_len:
             raise DimensionError("sequence longer than max_seq_len")
-        positions = np.arange(t)
         if any(p.requires_grad for p in self.parameters()):
-            x = T.add(T.embedding(self.token_emb, tokens), T.embedding(self.pos_emb, positions))
+            x = T.add(T.embedding(self.token_emb, tokens), T.embedding(self.pos_emb, np.arange(t)))
         else:
-            x = T.lookup(self.token_emb.data, tokens) + T.lookup(self.pos_emb.data, positions)
+            x = T.lookup(self.token_emb.data, tokens) + self.pos_emb.data[:t]
         for layer in self.layers:
             x = layer(x, causal=True)
         return self._output(self.final_norm(x))
@@ -205,7 +209,7 @@ def sample(logits, temperature: float, rng: np.random.Generator | None = None) -
     if data.ndim != 1:
         raise DimensionError("sample expects a single logits row")
     if temperature == 0:
-        return int(np.argmax(data))
+        return int(data.argmax())
     if rng is None:
         raise ValueError("temperature > 0 sampling requires an rng")
     return categorical(T.stable_softmax(data / temperature), rng)

@@ -110,7 +110,7 @@ class RMSNorm(Module):
     def __call__(self, x):
         if isinstance(x, np.ndarray):
             # sum / n is what ndarray.mean computes, bit for bit, with less overhead
-            ms = (x * x).sum(axis=-1, keepdims=True) / x.shape[-1] + NORM_EPS
+            ms = np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1] + NORM_EPS
             return x * ms**-0.5 * self.gain.data
         return T.rms_norm(x, self.gain, NORM_EPS)
 
@@ -260,37 +260,46 @@ class SelfAttention(Module):
         [s0, e) scores only keys [0, base + e): every later key is masked, so
         skipping it drops only exact zeros from each softmax row. A causal
         block adds just its diagonal [s0:e, s0:e] part of the mask; the rest
-        of its row is 0. With T <= BLOCK the loop runs once over every key."""
+        of its row is 0. With T - t0 <= BLOCK one block scores every key."""
         *lead, t, d = x.shape
         t0 = 0 if last_rows is None else t - last_rows
         split = (*lead, -1, self._n_heads, d // self._n_heads)
-        q = self.wq(x[..., t0:, :]).reshape(split)
-        k, v = (proj(x).reshape(split) for proj in (self.wk, self.wv))
+        q = ((x if t0 == 0 else x[..., t0:, :]) @ self.wq.weight.data).reshape(split)
+        k = (x @ self.wk.weight.data).reshape(split)
+        v = (x @ self.wv.weight.data).reshape(split)
         if cache is not None:
             if lead:
                 raise DimensionError("cached attention expects an unbatched [T, d] input")
             cache.extend(k, v)
             k, v = cache.k, cache.v
-        q, k, v = (y.swapaxes(-3, -2) for y in (q, k, v))  # [..., H, T, dh]
+        q, k, v = q.swapaxes(-3, -2), k.swapaxes(-3, -2), v.swapaxes(-3, -2)  # [..., H, T, dh]
         n_keys = k.shape[-2]
         base = n_keys - t  # cached keys
         diagonal = causal_mask_bias(BLOCK, x.dtype) if causal and t > 1 else None
-        blocks = []
-        for s0 in range(t0, t, BLOCK):
-            e = min(s0 + BLOCK, t)
-            end = base + e if causal or mask_bias is not None else n_keys
-            scores = q[..., s0 - t0 : e - t0, :] @ k[..., :end, :].swapaxes(-1, -2)
-            scores *= self._scale
-            if diagonal is not None:
-                scores[..., base + s0 :] += diagonal[: e - s0, : e - s0]
-            elif mask_bias is not None:
-                scores[..., base:] += mask_bias[s0:e, :e]
-            scores -= scores.max(axis=-1, keepdims=True)
-            np.exp(scores, out=scores)
-            scores /= scores.sum(axis=-1, keepdims=True)
-            blocks.append(scores @ v[..., :end, :])
-        out = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-2)
-        return self.wo(out.swapaxes(-3, -2).reshape(*lead, t - t0, d))
+        if t - t0 <= BLOCK:  # one block: every query row against every key, no slices
+            out = self._block(q, k, v, diagonal, mask_bias, base, t0, t)
+        else:
+            blocks = []
+            for s0 in range(t0, t, BLOCK):
+                e = min(s0 + BLOCK, t)
+                end = base + e if causal or mask_bias is not None else n_keys
+                qb, kb, vb = q[..., s0 - t0 : e - t0, :], k[..., :end, :], v[..., :end, :]
+                blocks.append(self._block(qb, kb, vb, diagonal, mask_bias, base, s0, e))
+            out = np.concatenate(blocks, axis=-2)
+        return out.swapaxes(-3, -2).reshape(*lead, t - t0, d) @ self.wo.weight.data
+
+    def _block(self, q, k, v, diagonal, mask_bias, base: int, s0: int, e: int) -> np.ndarray:
+        """Softmax attention of the new query rows [s0, e) over keys ``k``."""
+        scores = q @ k.swapaxes(-1, -2)
+        scores *= self._scale
+        if diagonal is not None:
+            scores[..., base + s0 :] += diagonal[: e - s0, : e - s0]
+        elif mask_bias is not None:
+            scores[..., base:] += mask_bias[s0:e, :e]
+        scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= np.add.reduce(scores, axis=-1, keepdims=True)
+        return scores @ v
 
 
 class FeedForward(Module):
@@ -299,6 +308,8 @@ class FeedForward(Module):
         self.w2 = Linear(hidden, dim, rng, bias=False)
 
     def __call__(self, x):
+        if isinstance(x, np.ndarray):
+            return silu(x @ self.w1.weight.data) @ self.w2.weight.data
         return self.w2(silu(self.w1(x)))
 
 

@@ -51,9 +51,27 @@ class TreeTopology:
     @cached_property
     def mask(self) -> np.ndarray:
         """``build_mask(self)``, computed once and read-only."""
-        mask = build_mask(self)
-        mask.flags.writeable = False
-        return mask
+        return _read_only(build_mask(self))
+
+    @cached_property
+    def depth_array(self) -> np.ndarray:
+        """``depth`` as a read-only int64 array (the nodes' tree positions)."""
+        return _read_only(np.asarray(self.depth, dtype=np.int64))
+
+    @cached_property
+    def head_index(self) -> np.ndarray:
+        """Per non-root node, the head that fills it (depth - 1); read-only."""
+        return _read_only(self.depth_array[1:] - 1)
+
+    @cached_property
+    def choice_index(self) -> np.ndarray:
+        """Per non-root node, its rank in its head's top-k; read-only."""
+        return _read_only(np.array([p[-1] for p in self.paths], dtype=np.int64))
+
+    @cached_property
+    def max_choice(self) -> int:
+        """The largest choice index: the widest top-k this topology reads."""
+        return max(p[-1] for p in self.paths)
 
     @cached_property
     def children(self) -> tuple[tuple[int, ...], ...]:
@@ -89,6 +107,11 @@ class TreeTopology:
             parent.append(0 if len(p) == 1 else index[p[:-1]])
             depth.append(len(p))
         return cls(paths=tuple(norm), parent=tuple(parent), depth=tuple(depth))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def build_mask(topology: TreeTopology) -> np.ndarray:
@@ -265,7 +288,7 @@ class DraftTree:
 
     @property
     def positions(self) -> np.ndarray:
-        return np.asarray(self.topology.depth)
+        return self.topology.depth_array
 
 
 def expand_tree(draft, topology: TreeTopology, last_token: int) -> DraftTree:
@@ -277,20 +300,18 @@ def expand_tree(draft, topology: TreeTopology, last_token: int) -> DraftTree:
         raise TopologyError(
             f"topology depth {topology.depth_max} != head count {k_heads}"
         )
-    n = topology.node_count
-    tokens = np.zeros(n, dtype=np.int64)
-    probs = np.ones(n, dtype=np.float64)
+    if topology.max_choice >= k_max:
+        path = next(p for p in topology.paths if p[-1] >= k_max)
+        raise TopologyError(
+            f"choice index {path[-1]} at depth {len(path)} exceeds head "
+            f"{len(path)}'s top-k of {k_max}"
+        )
+    heads = topology.head_index
+    tokens = np.empty(topology.node_count, dtype=np.int64)
     tokens[0] = last_token
-    for i, path in enumerate(topology.paths, start=1):
-        head = len(path) - 1
-        choice = path[-1]
-        if choice >= k_max:
-            raise TopologyError(
-                f"choice index {choice} at depth {len(path)} exceeds head "
-                f"{head + 1}'s top-k of {k_max}"
-            )
-        tokens[i] = order[head, choice]
-        probs[i] = draft.probs[head, tokens[i]]
+    tokens[1:] = order[heads, topology.choice_index]
+    probs = np.ones(topology.node_count, dtype=np.float64)
+    probs[1:] = draft.probs[heads, tokens[1:]]
     return DraftTree(topology=topology, tokens=tokens, probs=probs, mask=topology.mask)
 
 

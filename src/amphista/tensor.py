@@ -47,6 +47,7 @@ __all__ = [
     "rms_norm",
     "embedding",
     "lookup",
+    "check_ids",
     "stable_softmax",
     "cross_entropy",
     "backward",
@@ -62,6 +63,7 @@ class NonFiniteError(FloatingPointError):
 
 
 _DEFAULT_DTYPE = np.float64
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 _GRAD_ENABLED = True
 
 
@@ -69,7 +71,7 @@ def set_default_dtype(dtype) -> None:
     """Set the dtype used for tensors created from Python data (f32 or f64)."""
     global _DEFAULT_DTYPE
     dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
+    if dtype not in _FLOAT_DTYPES:
         raise ValueError(f"unsupported dtype {dtype}; use float32 or float64")
     _DEFAULT_DTYPE = dtype.type
 
@@ -101,11 +103,6 @@ def dtype_context(dtype):
         set_default_dtype(prev)
 
 
-def _check_finite(arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError("tensor contains NaN or Inf")
-
-
 class Tensor:
     """N-dimensional float array, optionally tracked on the autodiff tape."""
 
@@ -114,16 +111,14 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, Tensor):
             raise TypeError("wrap raw arrays, not Tensors")
-        if isinstance(data, np.ndarray) and dtype is None and data.dtype in (
-            np.dtype(np.float32),
-            np.dtype(np.float64),
-        ):
+        if isinstance(data, np.ndarray) and dtype is None and data.dtype in _FLOAT_DTYPES:
             arr = data
         else:
             arr = np.asarray(data, dtype=dtype or _DEFAULT_DTYPE)
         if arr.ndim and not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)
-        _check_finite(arr)
+        if not np.isfinite(arr).all():
+            raise NonFiniteError("tensor contains NaN or Inf")
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
@@ -506,11 +501,21 @@ def stable_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return ex / ex.sum(axis=axis, keepdims=True)
 
 
+def check_ids(ids: np.ndarray, n: int, what: str) -> None:
+    """Raise ``IndexError`` unless every id lies in [0, n): one id by an int
+    compare, more by a min/max scan."""
+    if ids.size == 1:
+        bad = not 0 <= ids.item() < n
+    else:
+        bad = ids.size and (ids.min() < 0 or ids.max() >= n)
+    if bad:
+        raise IndexError(f"{what} out of range [0, {n})")
+
+
 def lookup(table: np.ndarray, ids) -> np.ndarray:
     """Rows of a plain array, with the id range check of ``embedding``."""
     ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise IndexError(f"token id out of range [0, {table.shape[0]}) in embedding lookup")
+    check_ids(ids, table.shape[0], "token id")
     return table[ids]
 
 
@@ -561,8 +566,7 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
                 f"hard target shape {tgt.shape} does not match logit rows {rows_shape}"
             )
         ti = tgt.reshape(n_rows)
-        if ti.size and (ti.min() < 0 or ti.max() >= n):
-            raise IndexError(f"target index out of range [0, {n})")
+        check_ids(ti, n, "target index")
         losses = -logp[np.arange(n_rows), ti]
         delta = probs.copy()
         delta[np.arange(n_rows), ti] -= 1.0

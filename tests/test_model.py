@@ -198,6 +198,48 @@ class TestForward:
         assert np.array_equal(recomputed.data, out.logits.data)
 
 
+class TestRejectsBeforeAnyWork:
+    """Each bad input to ``forward`` raises, and the cache keeps the length
+    of its 3-token prefill."""
+
+    def prefilled(self):
+        model = make_tiny_model()
+        cache = model.new_cache()
+        model.forward([1, 2, 3], cache)
+        return model, cache
+
+    @pytest.mark.parametrize("bad", [TINY_MODEL.vocab_size, -1])
+    def test_one_token_id_out_of_range(self, bad):
+        model, cache = self.prefilled()
+        with pytest.raises(IndexError):
+            model.forward([bad], cache)
+        assert cache.length == 3
+
+    @pytest.mark.parametrize("bad", [-1, TINY_MODEL.max_seq_len])
+    def test_tree_position_out_of_range(self, bad):
+        model, cache = self.prefilled()
+        topo = preset_topology("searched")
+        positions = 3 + topo.depth_array
+        positions[-1] = bad
+        with pytest.raises(IndexError, match="position id"):
+            model.forward(np.arange(topo.node_count), cache, mask=topo.mask, positions=positions)
+        assert cache.length == 3
+
+    @pytest.mark.parametrize("tree", [False, True])
+    def test_nan_weight_on_a_step_and_a_tree(self, tree):
+        model, cache = self.prefilled()
+        model.layers[1].ffn.w1.weight.data[3, 5] = np.nan
+        topo = preset_topology("searched")
+        with pytest.raises(NonFiniteError):
+            if tree:
+                model.forward(
+                    np.arange(topo.node_count), cache, mask=topo.mask, positions=3 + topo.depth_array
+                )
+            else:
+                model.forward([4], cache)
+        assert cache.length == 3
+
+
 class TestBlockedAttention:
     """The cached forward runs attention in blocks of BLOCK query rows; at
     and across block boundaries it still matches the taped forward_batch."""

@@ -188,6 +188,37 @@ class TestExpandTree:
         with pytest.raises(TopologyError, match="depth"):
             expand_tree(fake_draft_output(topk), preset_topology("chain"), last_token=0)
 
+    @pytest.mark.parametrize("tree", ["chain", "searched", "cart45", "random"])
+    def test_same_tree_as_a_per_node_loop(self, tree):
+        """The cached index arrays give the tokens, probabilities and
+        positions that one loop over the topology's paths gives."""
+        rng = np.random.default_rng(6)
+        if tree == "random":
+            topo = TreeTopology.from_paths(random_tree_paths(rng, 60, max_depth=4))
+        else:
+            topo = preset_topology(tree)
+        probs = rng.dirichlet(np.ones(24), size=topo.depth_max)
+        order = np.argsort(-probs, axis=-1, kind="stable")[:, :10]
+        draft = DraftOutput(d_logits=Tensor(np.log(probs)), probs=probs, order=order)
+        tokens = np.zeros(topo.node_count, dtype=np.int64)
+        want = np.ones(topo.node_count, dtype=np.float64)
+        tokens[0] = 7
+        for i, path in enumerate(topo.paths, start=1):
+            tokens[i] = order[len(path) - 1, path[-1]]
+            want[i] = probs[len(path) - 1, tokens[i]]
+        got = expand_tree(draft, topo, last_token=7)
+        assert got.tokens.dtype == np.int64 and np.array_equal(got.tokens, tokens)
+        assert got.probs.tobytes() == want.tobytes()
+        assert np.array_equal(got.positions, np.asarray(topo.depth))
+        for arr in (topo.depth_array, topo.head_index, topo.choice_index):
+            assert not arr.flags.writeable
+
+    def test_too_wide_choice_named_at_its_depth(self):
+        topk = [[(3, 0.9), (4, 0.05)], [(5, 0.8)], [(7, 0.7)], [(9, 0.6)]]
+        topo = TreeTopology.from_paths([(0,), (1,), (0, 0), (0, 2), (0, 0, 0), (0, 0, 0, 0)])
+        with pytest.raises(TopologyError, match="choice index 2 at depth 2 exceeds head 2's top-k of 2"):
+            expand_tree(fake_draft_output(topk), topo, last_token=0)
+
 
 def one_hot_logits(rows, vocab=24, scale=4.0):
     out = np.zeros((len(rows), vocab))
