@@ -349,7 +349,7 @@ def tree_attention_max_diff(
         path.reverse()
         cache.truncate(base)
         out = model.forward([int(tokens[i]) for i in path], cache)
-        diff = np.abs(out.logits.data[-1] - tout.logits.data[node]).max()
+        diff = np.abs(out.logits[-1] - tout.logits[node]).max()
         worst = max(worst, float(diff))
     return worst
 
@@ -461,7 +461,7 @@ def measure_step_cost(
     tree_times: dict[int, list[float]] = {t.node_count: [] for t in topologies}
     for context in contexts:
         cache = model.new_cache()
-        h = model.forward(context[:-1], cache).hidden.data[-1]
+        h = model.forward(context[:-1], cache).hidden[-1]
         root = context[-1]
         session = DrafterSession(drafter)
         base, drafted = cache.length, session.state.length

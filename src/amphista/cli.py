@@ -43,8 +43,8 @@ from .configfile import ConfigError, coerce_dataclass, dump_config, file_keys, l
 from .corpus import CorpusSpec, detokenize, make_corpus, make_prompts, tokenize
 from .drafter import TOP_K, VARIANTS, DrafterConfig, variant_config
 from .model import ModelConfig
-from .engine import EngineError
-from .speculation import TopologyError, format_topology, resolve_topology
+from .engine import EngineError, check_budget
+from .speculation import TopologyError, check_choices, format_topology, resolve_topology
 from .tensor import DimensionError
 from .training import TrainConfig, split_corpus
 
@@ -103,18 +103,6 @@ def _check_prompt_len(run_cfg: RunConfig, corpus_spec: CorpusSpec) -> None:
         )
 
 
-def _check_budget(model_cfg: ModelConfig, *parts: tuple[str, int]) -> None:
-    """Reject, before any work, a decode whose context cannot fit: it feeds
-    its prompt and all but its last new token to the target, as the engine
-    checks each request. ``parts`` name and count the prompt and new tokens."""
-    if sum(n for _, n in parts) - 1 > model_cfg.max_seq_len:
-        named = " + ".join(f"{name} {n}" for name, n in parts)
-        raise ConfigError(
-            f"{named} exceeds the context window of {model_cfg.max_seq_len} tokens "
-            "(a decode feeds the prompt and all but its last new token to the target)"
-        )
-
-
 # Modes that decode without a drafter.
 _NO_DRAFTER = ("ar", "oracle")
 
@@ -131,13 +119,10 @@ def _check_topology(run_cfg, model_cfg, drafter_cfg) -> None:
             f"topology {run_cfg.topology!r} has depth {topology.depth_max}; "
             f"the drafter has K={drafter_cfg.K} heads"
         )
-    top_k = min(TOP_K, model_cfg.vocab_size)
-    for path in topology.paths:
-        if path[-1] >= top_k:
-            raise TopologyError(
-                f"topology {run_cfg.topology!r}: choice index {path[-1]} at depth {len(path)} "
-                f"exceeds head {len(path)}'s top-k of {top_k}"
-            )
+    try:
+        check_choices(topology, min(TOP_K, model_cfg.vocab_size))
+    except TopologyError as err:
+        raise TopologyError(f"topology {run_cfg.topology!r}: {err}") from None
 
 
 def _variant_for_mode(mode: str, base: DrafterConfig) -> DrafterConfig:
@@ -232,7 +217,7 @@ def cmd_generate(args) -> int:
             raise ConfigError("--prompt is empty")
     else:
         prompt = make_prompts(corpus_spec, run_cfg.seed, 1, run_cfg.prompt_len)[0]
-    _check_budget(model_cfg, ("prompt", len(prompt)), ("max_new_tokens", run_cfg.max_new_tokens))
+    check_budget(model_cfg, ("prompt", len(prompt)), ("max_new_tokens", run_cfg.max_new_tokens))
     model, drafter = _build_system(args, model_cfg, drafter_cfg, run_cfg)
     out = _outdir(args)
 
@@ -252,7 +237,7 @@ def cmd_generate(args) -> int:
 def cmd_bench(args) -> int:
     _, model_cfg, drafter_cfg, _, corpus_spec, run_cfg = _build_configs(args)
     _check_topology(run_cfg, model_cfg, drafter_cfg)
-    _check_budget(
+    check_budget(
         model_cfg, ("prompt_len", run_cfg.prompt_len), ("max_new_tokens", run_cfg.max_new_tokens)
     )
     model, drafter = _build_system(args, model_cfg, drafter_cfg, run_cfg)
@@ -291,7 +276,7 @@ def cmd_tree_search(args) -> int:
         )
     _check_topology(run_cfg, model_cfg, drafter_cfg)
     # calibration decodes each prompt's AR reference to max_new_tokens + K
-    _check_budget(
+    check_budget(
         model_cfg,
         ("prompt_len", run_cfg.prompt_len),
         ("max_new_tokens", run_cfg.max_new_tokens),
@@ -328,7 +313,7 @@ def cmd_ablate(args) -> int:
     _check_prompt_len(run_cfg, corpus_spec)
     # every variant decodes on the run's tree, whatever its mode
     _check_topology(replace(run_cfg, mode="amphista"), model_cfg, drafter_cfg)
-    _check_budget(
+    check_budget(
         model_cfg, ("prompt_len", run_cfg.prompt_len), ("max_new_tokens", run_cfg.max_new_tokens)
     )
     out = _outdir(args)

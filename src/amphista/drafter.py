@@ -7,9 +7,9 @@ Every ablation variant is reachable through ``VARIANTS``; the all-off
 graph.
 
 One ``adapt`` serves every caller. ``draft`` (one decode step over the
-rolling caches) runs it tape-free on plain arrays. ``sequence_logits`` runs
-it over whole sequences: on the autodiff tape for training, and tape-free on
-arrays for evaluation.
+rolling caches) runs it tape-free on plain arrays, and checks its logits once.
+``sequence_logits`` runs it over whole sequences: on the autodiff tape for
+training, and tape-free on arrays for evaluation.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from . import tensor as T
 from .model import TargetModel
 from .nn import LayerKV, Linear, Module, RMSNorm, TransformerLayer, silu
-from .tensor import DimensionError, Parameter, Tensor
+from .tensor import DimensionError, Parameter, Tensor, check_finite
 
 ADAPTATION_MODES = ("staged", "one_layer", "none")
 # Tokens each head lists, best first: the widest choice index a tree can use.
@@ -58,7 +58,7 @@ class DrafterConfig:
 
 @dataclass
 class DraftOutput:
-    d_logits: Tensor  # [K, V]
+    d_logits: np.ndarray  # [K, V], finite
     probs: np.ndarray  # [K, V], softmax of d_logits
     order: np.ndarray  # [K, min(TOP_K, V)] int: each head's tokens by prob desc
 
@@ -202,11 +202,9 @@ class Drafter(Module):
         ]
         return T.stack(outs, axis=-2) if taped else np.stack(outs, axis=-2)
 
-    def head_logits(self, attn_o) -> DraftOutput:
-        d_logits = self.all_head_logits(attn_o)
-        if not isinstance(d_logits, Tensor):
-            d_logits = Tensor(d_logits)  # the one NaN/Inf check of a draft step
-        probs, order = topk_lists(d_logits.data)
+    def head_logits(self, attn_o: np.ndarray) -> DraftOutput:
+        d_logits = check_finite(self.all_head_logits(attn_o), "draft logits")
+        probs, order = topk_lists(d_logits)
         return DraftOutput(d_logits=d_logits, probs=probs, order=order)
 
     # -- composition ---------------------------------------------------------------------

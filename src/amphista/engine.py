@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .drafter import DraftOutput, Drafter, topk_lists
-from .model import KVCache, TargetModel, sample
+from .model import KVCache, ModelConfig, TargetModel, sample
 from .speculation import TreeTopology, commit, expand_tree, sample_chain_tree, verify
-from .tensor import Tensor
 
 
 class EngineError(RuntimeError):
@@ -91,28 +90,31 @@ class OracleDrafterSession:
         try:
             for _ in range(self.k):
                 out = self.model.forward([tok], model_cache)
-                rows.append(out.logits.data[0])
+                rows.append(out.logits[0])
                 tok = int(np.argmax(rows[-1]))
         finally:
             model_cache.truncate(base)
         d_logits = np.stack(rows)
         probs, order = topk_lists(d_logits)
-        return DraftOutput(d_logits=Tensor(d_logits), probs=probs, order=order)
+        return DraftOutput(d_logits=d_logits, probs=probs, order=order)
 
 
-def _check_budget(model: TargetModel, prompt: list[int], max_new_tokens: int) -> None:
-    """Reject a request before prefill unless every token it needs fits.
+def check_budget(config: ModelConfig, *parts: tuple[str, int]) -> None:
+    """Reject a decode before any work unless every token it needs fits.
 
-    A decode of ``max_new_tokens`` feeds all but the last new token back to
-    the target, so prompt + budget - 1 tokens must fit in the window.
+    ``parts`` name and count, in order, the prompt, the new tokens and any
+    tokens decoded past them (tree-search's references run K further). A
+    decode feeds its prompt and all but its last new token to the target, so
+    their sum less one must fit in the context window.
     """
-    if not prompt:
-        raise EngineError("prompt must be non-empty")
-    window = model.config.max_seq_len
-    if len(prompt) + max_new_tokens - 1 > window:
+    for name, n in parts[:2]:  # the prompt and the new tokens
+        if n < 1:
+            raise EngineError(f"{name} must be >= 1, got {n}")
+    if sum(n for _, n in parts) - 1 > config.max_seq_len:
+        named = " + ".join(f"{name} {n}" for name, n in parts)
         raise EngineError(
-            f"prompt of {len(prompt)} tokens + budget of {max_new_tokens} new tokens "
-            f"exceeds the context window of {window} tokens"
+            f"{named} exceeds the context window of {config.max_seq_len} tokens "
+            "(a decode feeds the prompt and all but its last new token to the target)"
         )
 
 
@@ -148,7 +150,7 @@ def speculative_generate(
     would not fit in the context window, so a request that passes the
     up-front budget check always finishes.
     """
-    _check_budget(model, prompt, max_new_tokens)
+    check_budget(model.config, ("prompt_len", len(prompt)), ("max_new_tokens", max_new_tokens))
     if session is not None and topology.depth_max != session.depth:
         raise EngineError(
             f"topology depth {topology.depth_max} != drafter depth {session.depth}"
@@ -157,8 +159,8 @@ def speculative_generate(
     cache = model.new_cache()
     events: list[StepEvent] = []
     out = model.forward(prompt, cache)
-    tok = sample(out.logits.data[-1], temperature, rng)
-    h = out.hidden.data[-1]
+    tok = sample(out.logits[-1], temperature, rng)
+    h = out.hidden[-1]
     new = [tok]
     step = 0
     while len(new) < max_new_tokens:
@@ -167,7 +169,7 @@ def speculative_generate(
         if session is None or base + topology.node_count > model.config.max_seq_len:
             # The window only fills up, so no later round drafts again.
             out = model.forward([tok], cache)
-            tok = sample(out.logits.data[-1], temperature, rng)
+            tok = sample(out.logits[-1], temperature, rng)
             new.append(tok)
             events.append(StepEvent(step=step, nodes=1, accepted_len=0, bonus=tok))
             continue
@@ -191,7 +193,7 @@ def speculative_generate(
                 bonus=bonus,
             )
         )
-        h = tout.hidden.data[result.accepted_nodes[-1]]
+        h = tout.hidden[result.accepted_nodes[-1]]
         tok = bonus
     return GenerationResult(
         prompt_len=len(prompt),

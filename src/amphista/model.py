@@ -1,9 +1,9 @@
 """Frozen-able causal decoder target model with KV caching and tree-masked decoding.
 
-``forward`` (cached decoding) runs tape-free on plain arrays. ``forward_batch``
-(whole sequences, no cache) runs on the autodiff tape only while a parameter
-requires grad: when the target itself trains, and for the unfrozen reference
-the cached path is tested against. A frozen target runs it tape-free."""
+``forward`` (cached decoding) runs tape-free and returns checked arrays.
+``forward_batch`` (whole sequences, no cache) returns ``Tensor``s, taped only
+while a parameter requires grad: when the target itself trains, and for the
+unfrozen reference the cached path is tested against."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from .nn import (
     TransformerLayer,
     tree_mask_bias,
 )
-from .tensor import DimensionError, NonFiniteError, Tensor
+from .tensor import DimensionError, NonFiniteError, Tensor, check_finite
 
 
 @dataclass
@@ -82,10 +82,11 @@ class KVCache:
 class TargetOutput:
     """Rows of the final hidden state and logits: the last new token's from a
     causal ``forward`` ([1, d], [1, V]), every node's from a tree-masked one
-    ([n_new, ...]), every position's from ``forward_batch`` ([B, T, ...])."""
+    ([n_new, ...]), every position's from ``forward_batch`` ([B, T, ...]).
+    Arrays from ``forward``, ``Tensor``s from ``forward_batch``."""
 
-    hidden: Tensor
-    logits: Tensor
+    hidden: np.ndarray | Tensor
+    logits: np.ndarray | Tensor
 
 
 class TargetModel(Module):
@@ -130,8 +131,8 @@ class TargetModel(Module):
         lower-triangular (j <= i, as ``build_mask`` makes it) and
         ``positions`` must then be supplied.
 
-        Runs tape-free (see ``_output`` for the NaN/Inf check). Every check
-        raises before ``cache`` changes; a NaN or Inf output rolls it back.
+        Runs tape-free and returns arrays. Every check raises before
+        ``cache`` changes; a NaN or Inf output rolls it back.
         """
         tokens = np.asarray(tokens, dtype=np.int64)
         n = tokens.shape[0] if tokens.ndim else 0
@@ -167,11 +168,15 @@ class TargetModel(Module):
         for i, (layer, kv) in enumerate(zip(self.layers, cache.layers)):
             last_rows = 1 if causal and i == len(self.layers) - 1 else None
             x = layer(x, cache=kv, mask_bias=bias, causal=causal, last_rows=last_rows)
+        hidden = self.final_norm(x)
+        logits = self.lm_head(hidden)
         try:
-            return self._output(self.final_norm(x))
+            check_finite(hidden, "hidden states")
+            check_finite(logits, "logits")
         except NonFiniteError:
             cache.truncate(base)  # a failed forward leaves no new rows in the cache
             raise
+        return TargetOutput(hidden=hidden, logits=logits)
 
     def forward_batch(self, tokens: np.ndarray) -> TargetOutput:
         """Causal full-sequence forward over [B, T] token ids (no cache).
@@ -184,35 +189,31 @@ class TargetModel(Module):
         t = tokens.shape[1]
         if t > self.config.max_seq_len:
             raise DimensionError("sequence longer than max_seq_len")
-        if any(p.requires_grad for p in self.parameters()):
+        taped = any(p.requires_grad for p in self.parameters())
+        if taped:
             x = T.add(T.embedding(self.token_emb, tokens), T.embedding(self.pos_emb, np.arange(t)))
         else:
             x = T.lookup(self.token_emb.data, tokens) + self.pos_emb.data[:t]
         for layer in self.layers:
             x = layer(x, causal=True)
-        return self._output(self.final_norm(x))
-
-    def _output(self, hidden) -> TargetOutput:
-        """The LM head over ``hidden``; array outputs are each wrapped in a
-        ``Tensor`` once, which raises ``NonFiniteError`` on NaN or Inf."""
+        hidden = self.final_norm(x)
         logits = self.lm_head(hidden)
-        if isinstance(hidden, Tensor):
+        if taped:
             return TargetOutput(hidden=hidden, logits=logits)
         return TargetOutput(hidden=Tensor(hidden), logits=Tensor(logits))
 
 
-def sample(logits, temperature: float, rng: np.random.Generator | None = None) -> int:
+def sample(logits: np.ndarray, temperature: float, rng: np.random.Generator | None = None) -> int:
     """Draw a token: argmax at T=0 (lowest index wins ties), categorical otherwise."""
     if temperature < 0:
         raise ValueError(f"temperature must be >= 0, got {temperature}")
-    data = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    if data.ndim != 1:
+    if logits.ndim != 1:
         raise DimensionError("sample expects a single logits row")
     if temperature == 0:
-        return int(data.argmax())
+        return int(logits.argmax())
     if rng is None:
         raise ValueError("temperature > 0 sampling requires an rng")
-    return categorical(T.stable_softmax(data / temperature), rng)
+    return categorical(T.stable_softmax(logits / temperature), rng)
 
 
 def categorical(probs: np.ndarray, rng: np.random.Generator) -> int:

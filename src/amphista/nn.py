@@ -3,8 +3,8 @@
 Every layer accepts either input type. A ``Tensor`` runs the autodiff tape
 (training and gradient checks). A plain ``np.ndarray`` runs tape-free numpy
 (inference); only this path takes a KV cache. The array path checks nothing
-for NaN or Inf itself: its callers wrap each forward's outputs in a
-``Tensor`` once, which checks them.
+for NaN or Inf itself: its callers pass each forward's outputs to
+``tensor.check_finite`` once.
 """
 
 from __future__ import annotations

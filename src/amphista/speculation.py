@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .model import KVCache, categorical
-from .tensor import Tensor, stable_softmax
+from .tensor import stable_softmax
 
 Path_ = tuple[int, ...]
 
@@ -279,7 +279,6 @@ class DraftTree:
     topology: TreeTopology
     tokens: np.ndarray  # [node_count] int; root = last committed token
     probs: np.ndarray  # [node_count] draft probability, root = 1
-    mask: np.ndarray  # [node_count, node_count] bool, ancestor-or-self
     head_dists: np.ndarray | None = None  # [K, V]; proposal dists for chain rule
 
     @property
@@ -287,8 +286,22 @@ class DraftTree:
         return self.topology.node_count
 
     @property
+    def mask(self) -> np.ndarray:  # [node_count, node_count] bool, ancestor-or-self
+        return self.topology.mask
+
+    @property
     def positions(self) -> np.ndarray:
         return self.topology.depth_array
+
+
+def check_choices(topology: TreeTopology, top_k: int) -> None:
+    """Raise ``TopologyError`` unless every choice index is below its head's ``top_k``."""
+    if topology.max_choice >= top_k:
+        path = next(p for p in topology.paths if p[-1] >= top_k)
+        raise TopologyError(
+            f"choice index {path[-1]} at depth {len(path)} exceeds head "
+            f"{len(path)}'s top-k of {top_k}"
+        )
 
 
 def expand_tree(draft, topology: TreeTopology, last_token: int) -> DraftTree:
@@ -300,19 +313,14 @@ def expand_tree(draft, topology: TreeTopology, last_token: int) -> DraftTree:
         raise TopologyError(
             f"topology depth {topology.depth_max} != head count {k_heads}"
         )
-    if topology.max_choice >= k_max:
-        path = next(p for p in topology.paths if p[-1] >= k_max)
-        raise TopologyError(
-            f"choice index {path[-1]} at depth {len(path)} exceeds head "
-            f"{len(path)}'s top-k of {k_max}"
-        )
+    check_choices(topology, k_max)
     heads = topology.head_index
     tokens = np.empty(topology.node_count, dtype=np.int64)
     tokens[0] = last_token
     tokens[1:] = order[heads, topology.choice_index]
     probs = np.ones(topology.node_count, dtype=np.float64)
     probs[1:] = draft.probs[heads, tokens[1:]]
-    return DraftTree(topology=topology, tokens=tokens, probs=probs, mask=topology.mask)
+    return DraftTree(topology=topology, tokens=tokens, probs=probs)
 
 
 def sample_chain_tree(
@@ -334,9 +342,7 @@ def sample_chain_tree(
         tok = categorical(dists[k], rng)
         tokens[k + 1] = tok
         probs[k + 1] = dists[k][tok]
-    return DraftTree(
-        topology=topology, tokens=tokens, probs=probs, mask=topology.mask, head_dists=dists
-    )
+    return DraftTree(topology=topology, tokens=tokens, probs=probs, head_dists=dists)
 
 
 @dataclass
@@ -372,7 +378,7 @@ def chain_accept_step(
 
 def verify(
     tree: DraftTree,
-    node_logits,
+    logits: np.ndarray,
     rule: str,
     temperature: float,
     rng: np.random.Generator | None = None,
@@ -387,9 +393,8 @@ def verify(
     distribution.
     chain (T>0): single-path rejection sampling via ``chain_accept_step``.
     """
-    logits = node_logits.data if isinstance(node_logits, Tensor) else np.asarray(node_logits)
     if logits.shape[0] != tree.node_count:
-        raise ValueError("node_logits rows must match tree nodes")
+        raise ValueError("logits rows must match tree nodes")
     children = tree.topology.children
 
     if rule == "greedy":

@@ -4,8 +4,8 @@ numpy provides storage and BLAS; this module adds the tape. Every op
 validates that its output is finite and raises ``NonFiniteError`` otherwise,
 so numerical problems surface at the op that caused them instead of three
 modules later. The tape serves training and gradient checks. Inference runs
-the same layers on plain arrays, with no tape and no per-op check, and wraps
-each forward's outputs in a ``Tensor`` once, so a NaN or Inf still raises
+the same layers on plain arrays, with no tape and no per-op check, and passes
+each forward's outputs to ``check_finite`` once, so a NaN or Inf still raises
 ``NonFiniteError`` before any token is chosen from them.
 
 Gradients accumulate: callers zero them between optimizer steps. The tape is
@@ -48,6 +48,7 @@ __all__ = [
     "embedding",
     "lookup",
     "check_ids",
+    "check_finite",
     "stable_softmax",
     "cross_entropy",
     "backward",
@@ -103,6 +104,13 @@ def dtype_context(dtype):
         set_default_dtype(prev)
 
 
+def check_finite(arr: np.ndarray, what: str) -> np.ndarray:
+    """Return ``arr``; raise ``NonFiniteError``, naming ``what`` and its shape, on NaN or Inf."""
+    if not np.isfinite(arr).all():
+        raise NonFiniteError(f"{what} of shape {arr.shape} contains NaN or Inf")
+    return arr
+
+
 class Tensor:
     """N-dimensional float array, optionally tracked on the autodiff tape."""
 
@@ -117,8 +125,7 @@ class Tensor:
             arr = np.asarray(data, dtype=dtype or _DEFAULT_DTYPE)
         if arr.ndim and not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)
-        if not np.isfinite(arr).all():
-            raise NonFiniteError("tensor contains NaN or Inf")
+        check_finite(arr, "tensor")
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)

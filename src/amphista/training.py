@@ -383,8 +383,8 @@ def _eval_chunks(sequences, model: TargetModel, drafter: Drafter):
         view = teacher_forced(model, tokens, drafter.config.K)
     for lo in range(0, len(view.gt), VIEW_CHUNK):
         part = view.rows(slice(lo, lo + VIEW_CHUNK))
-        # wrapped once for its NaN/Inf check
-        yield part, Tensor(drafter.sequence_logits(part.hidden, part.next_tokens)).data
+        logits = drafter.sequence_logits(part.hidden, part.next_tokens)
+        yield part, T.check_finite(logits, "draft logits")
 
 
 def measure_head_accuracy(

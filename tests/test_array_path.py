@@ -79,7 +79,7 @@ def cached_rows(cache) -> list[np.ndarray]:
 
 
 def outputs(out) -> list[np.ndarray]:
-    return [out.hidden.data, out.logits.data]
+    return [out.hidden, out.logits]
 
 
 def test_one_token_steps(monkeypatch):
@@ -163,7 +163,7 @@ def test_frozen_forward_batch(monkeypatch, dtype, shape):
         model = make_tiny_model(config=LONG)
     model.freeze()
     tokens = np.random.default_rng(shape[1]).integers(0, 24, size=shape)
-    assert_same_bits(monkeypatch, lambda: outputs(model.forward_batch(tokens)))
+    assert_same_bits(monkeypatch, lambda: [t.data for t in outputs(model.forward_batch(tokens))])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

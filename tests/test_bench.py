@@ -1,6 +1,7 @@
 """Harness: tokenizer, decoding-loop metrics, head accuracy, ablation, tree attention."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from amphista.bench import (
     calibrate,
     recompute_tokens_per_step,
     run_ablation_suite,
+    run_prompt,
     run_prompt_set,
     train_system,
     tree_attention_max_diff,
@@ -30,7 +32,7 @@ from amphista.corpus import (
     make_prompts,
     tokenize,
 )
-from amphista.drafter import DrafterConfig
+from amphista.drafter import VARIANTS, DrafterConfig
 from amphista.engine import (
     DrafterSession,
     EngineError,
@@ -196,8 +198,8 @@ class TestDecodingLoops:
         cache = model.new_cache()
         with T.no_grad():
             out = model.forward(prompt, cache)
-            tok = sample(out.logits.data[-1], 0.0)
-            h = out.hidden.data[-1]
+            tok = sample(out.logits[-1], 0.0)
+            h = out.hidden[-1]
             new = [tok]
             per_round = []
             while len(new) < max_new:
@@ -209,7 +211,7 @@ class TestDecodingLoops:
                 out = model.forward([tok], cache)
                 accepted = 0
                 while True:
-                    best = int(np.argmax(out.logits.data[-1]))
+                    best = int(np.argmax(out.logits[-1]))
                     nxt = next((c for c in children[node] if tree.tokens[c] == best), None)
                     if nxt is None:
                         bonus = best
@@ -220,7 +222,7 @@ class TestDecodingLoops:
                     new.append(int(tree.tokens[nxt]))
                 new.append(bonus)
                 per_round.append(accepted + 1)
-                h = out.hidden.data[-1]
+                h = out.hidden[-1]
                 tok = bonus
         assert res.tokens == new[:max_new]
         assert [e.accepted_len + 1 for e in res.events] == per_round
@@ -256,7 +258,8 @@ class TestDecodingLoops:
         window = model.config.max_seq_len
         prompt = [1] * (window - 9)
         ar_generate(model, prompt, 10)  # the last token is never fed back
-        with pytest.raises(EngineError, match=f"{window - 9} tokens .* 11 new .* {window}"):
+        named = f"prompt_len {window - 9} + max_new_tokens 11 exceeds the context window of {window} tokens"
+        with pytest.raises(EngineError, match=re.escape(named)):
             ar_generate(model, prompt, 11)
         with pytest.raises(EngineError, match="context window"):
             speculative_generate(
@@ -275,6 +278,37 @@ class TestDecodingLoops:
         assert predicted_tokens_per_step(paths, cal.rank_vectors) == pytest.approx(
             cal.tokens_per_step, abs=1e-12
         )
+
+    @pytest.mark.parametrize("max_new", [0, -3])
+    def test_no_new_tokens_rejected_before_prefill(self, monkeypatch, max_new):
+        model = make_tiny_model()
+        calls = []
+        monkeypatch.setattr(model, "forward", lambda *a, **k: calls.append(a))
+        with pytest.raises(EngineError, match=f"max_new_tokens must be >= 1, got {max_new}"):
+            ar_generate(model, [1, 2, 3], max_new)
+        assert calls == []
+
+    def test_decoding_builds_no_tensor(self, monkeypatch):
+        """Every decode mode runs on plain arrays end to end: with ``Tensor``
+        construction made to raise, each still finishes its budget."""
+        model = make_tiny_model(seed=5)
+        amphista, medusa = (
+            make_tiny_drafter(model, seed=6, **VARIANTS[name]) for name in ("amphista", "medusa")
+        )
+
+        def no_tensor(*args, **kwargs):
+            raise AssertionError("decoding built a Tensor")
+
+        monkeypatch.setattr(T.Tensor, "__init__", no_tensor)
+        runs = [
+            (None, RunConfig(mode="ar", max_new_tokens=16)),
+            (amphista, RunConfig(mode="amphista", topology="searched", max_new_tokens=16)),
+            (medusa, RunConfig(mode="medusa", topology="searched", max_new_tokens=16)),
+            (amphista, RunConfig(mode="vanilla_chain", temperature=0.8, max_new_tokens=16)),
+            (None, RunConfig(mode="oracle", topology="chain", max_new_tokens=16)),
+        ]
+        for drafter, run in runs:
+            assert len(run_prompt(model, drafter, run, [1, 2, 3]).tokens) == 16, run.mode
 
     def test_empty_prompt_rejected(self):
         model = make_tiny_model()

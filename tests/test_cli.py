@@ -362,7 +362,8 @@ class TestNamedErrors:
         argv = ["bench", "--config", tiny_cfg, "--topology", str(tree),
                 "--out", str(tmp_path / "out")]
         assert main(argv) == 1
-        assert "choice index 10 at depth 1 exceeds head 1's top-k of 10" in self._one_line(capsys)
+        named = f"topology {str(tree)!r}: choice index 10 at depth 1 exceeds head 1's top-k of 10"
+        assert named in self._one_line(capsys)
         assert not (tmp_path / "out").exists()
 
     def test_missing_checkpoint(self, tiny_cfg, tmp_path, capsys):

@@ -156,16 +156,16 @@ class TestHeadLogits:
     def test_top1_is_argmax(self, tiny_model):
         drafter = make_tiny_drafter(tiny_model)
         rng = np.random.default_rng(10)
-        out = drafter.head_logits(Tensor(rng.standard_normal((4, 16))))
+        out = drafter.head_logits(rng.standard_normal((4, 16)))
         assert out.order.shape == (4, TOP_K)
         for k in range(4):
-            assert out.order[k, 0] == int(np.argmax(out.d_logits.data[k]))
+            assert out.order[k, 0] == int(np.argmax(out.d_logits[k]))
 
     def test_topk_sorted_descending(self, tiny_model):
         drafter = make_tiny_drafter(tiny_model)
         rng = np.random.default_rng(11)
-        out = drafter.head_logits(Tensor(rng.standard_normal((4, 16))))
-        assert np.array_equal(out.probs, T.stable_softmax(out.d_logits.data))
+        out = drafter.head_logits(rng.standard_normal((4, 16)))
+        assert np.array_equal(out.probs, T.stable_softmax(out.d_logits))
         assert out.order.shape == (4, TOP_K)
         for k, row in enumerate(out.order):
             probs = out.probs[k, row].tolist()
@@ -220,11 +220,11 @@ class TestDraftComposition:
     def test_medusa_heads_are_independent(self, tiny_model):
         drafter = make_tiny_drafter(tiny_model, **vars(variant_config("medusa", DrafterConfig(sal_heads=2))))
         h = rand_hidden(np.random.default_rng(13))
-        before = drafter.draft(h, 2, drafter.new_state()).d_logits.data[0].copy()
+        before = drafter.draft(h, 2, drafter.new_state()).d_logits[0].copy()
         for k in range(1, 4):
             drafter.mlps[k].weight.data += 0.1
             drafter.lm_heads[k].weight.data += 0.1
-        after = drafter.draft(h, 2, drafter.new_state()).d_logits.data[0]
+        after = drafter.draft(h, 2, drafter.new_state()).d_logits[0]
         assert np.array_equal(before, after)
 
     def test_full_output_shape(self, tiny_model, tiny_drafter):
@@ -244,7 +244,7 @@ class TestDraftComposition:
             config = variant_config(variant, DrafterConfig(sal_heads=2))
             drafter = Drafter(replace(config, lm_head_rank=rank), tiny_model, np.random.default_rng(1))
             state = drafter.new_state()
-            steps = [drafter.draft(h, int(t), state).d_logits.data for h, t in zip(h_seq, toks)]
+            steps = [drafter.draft(h, int(t), state).d_logits for h, t in zip(h_seq, toks)]
             assert not np.array_equal(steps[0], steps[1]), variant
             with T.no_grad():
                 recomputed = drafter.sequence_logits(Tensor(h_seq), toks).data
@@ -256,9 +256,9 @@ class TestDraftComposition:
         """Both tape-free paths check their logits: a draft step, and the
         teacher-forced evaluation of a held-out sequence."""
         tiny_drafter.sal2.ffn.w1.weight.data[0, 0] = np.nan
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(NonFiniteError, match=r"draft logits of shape \(4, 24\)"):
             tiny_drafter.draft(rand_hidden(np.random.default_rng(19)), 1, tiny_drafter.new_state())
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(NonFiniteError, match=r"draft logits of shape \(1, 5, 4, 24\)"):
             measure_head_accuracy([list(range(10))], tiny_model, tiny_drafter)
 
     def test_all_variants_constructible(self, tiny_model):
@@ -296,7 +296,7 @@ class TestRollback:
         tiny_drafter.draft(h, 2, state)
         state.rollback(0)
         again = tiny_drafter.draft(h, 1, state)
-        assert np.array_equal(fresh.d_logits.data, again.d_logits.data)
+        assert np.array_equal(fresh.d_logits, again.d_logits)
 
     def test_draft_rollback_redraft_bit_identical(self, tiny_model, tiny_drafter):
         rng = np.random.default_rng(17)
@@ -306,7 +306,7 @@ class TestRollback:
         first = tiny_drafter.draft(h, 4, state)
         state.rollback(1)
         second = tiny_drafter.draft(h, 4, state)
-        assert first.d_logits.data.tobytes() == second.d_logits.data.tobytes()
+        assert first.d_logits.tobytes() == second.d_logits.tobytes()
 
     def test_rollback_noop_and_bounds(self, tiny_model, tiny_drafter):
         state = tiny_drafter.new_state()

@@ -31,8 +31,8 @@ def uncached(model, tokens) -> tuple[np.ndarray, np.ndarray]:
 
 
 def assert_parity(out, hidden, logits):
-    assert np.abs(out.hidden.data - hidden).max() <= PARITY
-    assert np.abs(out.logits.data - logits).max() <= PARITY
+    assert np.abs(out.hidden - hidden).max() <= PARITY
+    assert np.abs(out.logits - logits).max() <= PARITY
 
 
 class TestForward:
@@ -66,12 +66,12 @@ class TestForward:
 
         seq_cache = model.new_cache()
         model.forward(prompt, seq_cache)
-        seq_rows = [model.forward([tok], seq_cache).logits.data[0] for tok in chain_tokens]
+        seq_rows = [model.forward([tok], seq_cache).logits[0] for tok in chain_tokens]
 
         tree_cache = model.new_cache()
         model.forward(prompt, tree_cache)
         tout = model.forward(chain_tokens, tree_cache, mask=mask, positions=3 + np.arange(5))
-        assert np.abs(np.stack(seq_rows) - tout.logits.data).max() <= PARITY
+        assert np.abs(np.stack(seq_rows) - tout.logits).max() <= PARITY
         hidden, logits = uncached(model, prompt + chain_tokens)
         assert_parity(tout, hidden[3:], logits[3:])
 
@@ -96,16 +96,16 @@ class TestForward:
             while topo.parent[path[-1]] >= 0:
                 path.append(topo.parent[path[-1]])
             hidden, logits = uncached(model, prompt + [int(tokens[i]) for i in reversed(path)])
-            assert np.abs(tout.hidden.data[node] - hidden[-1]).max() <= PARITY
-            assert np.abs(tout.logits.data[node] - logits[-1]).max() <= PARITY
+            assert np.abs(tout.hidden[node] - hidden[-1]).max() <= PARITY
+            assert np.abs(tout.logits[node] - logits[-1]).max() <= PARITY
 
     def test_nan_weight_raises_before_output(self):
         model = make_tiny_model()
         model.layers[1].ffn.w1.weight.data[3, 5] = np.nan
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(NonFiniteError, match=r"hidden states of shape \(1, 16\)"):
             model.forward([1, 2, 3], model.new_cache())
         model.freeze()
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(NonFiniteError, match=r"tensor of shape \(1, 3, 16\)"):
             model.forward_batch(np.array([[1, 2, 3]]))
 
     def test_token_out_of_range(self):
@@ -194,8 +194,8 @@ class TestForward:
         model = make_tiny_model()
         with T.no_grad():
             out = model.forward([1, 2, 3], model.new_cache())
-            recomputed = T.matmul(out.hidden, model.lm_head.weight)
-        assert np.array_equal(recomputed.data, out.logits.data)
+            recomputed = T.matmul(Tensor(out.hidden), model.lm_head.weight)
+        assert np.array_equal(recomputed.data, out.logits)
 
 
 class TestRejectsBeforeAnyWork:
@@ -230,7 +230,8 @@ class TestRejectsBeforeAnyWork:
         model, cache = self.prefilled()
         model.layers[1].ffn.w1.weight.data[3, 5] = np.nan
         topo = preset_topology("searched")
-        with pytest.raises(NonFiniteError):
+        rows = topo.node_count if tree else 1
+        with pytest.raises(NonFiniteError, match=rf"hidden states of shape \({rows}, 16\)"):
             if tree:
                 model.forward(
                     np.arange(topo.node_count), cache, mask=topo.mask, positions=3 + topo.depth_array
@@ -328,7 +329,7 @@ class TestCacheSurgery:
             model.forward([1, 2, 3], cache)
             model.forward([4, 5, 6, 7, 8], cache)
             cache.truncate(6)
-            replay = [model.forward([tok], cache).logits.data[0] for tok in (7, 8)]
+            replay = [model.forward([tok], cache).logits[0] for tok in (7, 8)]
         _, ref = uncached(model, [1, 2, 3, 4, 5, 6, 7, 8])
         for row, want in zip(replay, ref[6:], strict=True):  # tokens 7 and 8
             assert np.abs(row - want).max() <= PARITY
@@ -340,7 +341,7 @@ class TestCacheSurgery:
         cache.truncate(0)
         again = model.forward([1, 2, 3], cache)
         fresh = model.forward([1, 2, 3], model.new_cache())
-        assert np.array_equal(again.logits.data, fresh.logits.data)
+        assert np.array_equal(again.logits, fresh.logits)
 
     def test_truncate_noop_and_bounds(self):
         model = make_tiny_model()
@@ -409,14 +410,14 @@ class TestCacheSurgery:
         path = [0, children[0][0], children[children[0][0]][0]]
         cache.select_path(4, path)
         with T.no_grad():
-            after = model.forward([5], cache).logits.data[0]
+            after = model.forward([5], cache).logits[0]
 
         seq_cache = model.new_cache()
         with T.no_grad():
             model.forward(prompt, seq_cache)
             for node in path:
                 model.forward([int(tokens[node])], seq_cache)
-            ref = model.forward([5], seq_cache).logits.data[0]
+            ref = model.forward([5], seq_cache).logits[0]
         assert np.abs(after - ref).max() <= 1e-5
 
     def test_select_path_bad_offsets(self):

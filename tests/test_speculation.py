@@ -16,6 +16,7 @@ from amphista.speculation import (
     build_mask,
     chain_accept_step,
     chain_topology,
+    check_choices,
     PRESET_PATHS,
     commit,
     expand_tree,
@@ -29,7 +30,6 @@ from amphista.speculation import (
     search_topology,
     verify,
 )
-from amphista.tensor import Tensor
 
 from conftest import make_tiny_model, predicted_tokens_per_step, random_tree_paths
 
@@ -49,7 +49,7 @@ def fake_draft_output(topk, vocab=24):
             logits[head, tok] = 5.0 - rank
             probs[head, tok] = prob
     order = np.argsort(-probs, axis=-1, kind="stable")[:, :k_max]
-    return DraftOutput(d_logits=Tensor(logits), probs=probs, order=order)
+    return DraftOutput(d_logits=logits, probs=probs, order=order)
 
 
 def chain_tree(tokens, vocab=24, probs=None):
@@ -57,12 +57,7 @@ def chain_tree(tokens, vocab=24, probs=None):
     depth = len(tokens) - 1
     topo = TreeTopology.from_paths([(0,) * k for k in range(1, depth + 1)])
     p = np.ones(len(tokens)) if probs is None else np.asarray(probs, dtype=float)
-    return DraftTree(
-        topology=topo,
-        tokens=np.asarray(tokens, dtype=np.int64),
-        probs=p,
-        mask=build_mask(topo),
-    )
+    return DraftTree(topology=topo, tokens=np.asarray(tokens, dtype=np.int64), probs=p)
 
 
 class TestTopology:
@@ -199,7 +194,7 @@ class TestExpandTree:
             topo = preset_topology(tree)
         probs = rng.dirichlet(np.ones(24), size=topo.depth_max)
         order = np.argsort(-probs, axis=-1, kind="stable")[:, :10]
-        draft = DraftOutput(d_logits=Tensor(np.log(probs)), probs=probs, order=order)
+        draft = DraftOutput(d_logits=np.log(probs), probs=probs, order=order)
         tokens = np.zeros(topo.node_count, dtype=np.int64)
         want = np.ones(topo.node_count, dtype=np.float64)
         tokens[0] = 7
@@ -207,6 +202,7 @@ class TestExpandTree:
             tokens[i] = order[len(path) - 1, path[-1]]
             want[i] = probs[len(path) - 1, tokens[i]]
         got = expand_tree(draft, topo, last_token=7)
+        assert got.mask is topo.mask
         assert got.tokens.dtype == np.int64 and np.array_equal(got.tokens, tokens)
         assert got.probs.tobytes() == want.tobytes()
         assert np.array_equal(got.positions, np.asarray(topo.depth))
@@ -218,6 +214,12 @@ class TestExpandTree:
         topo = TreeTopology.from_paths([(0,), (1,), (0, 0), (0, 2), (0, 0, 0), (0, 0, 0, 0)])
         with pytest.raises(TopologyError, match="choice index 2 at depth 2 exceeds head 2's top-k of 2"):
             expand_tree(fake_draft_output(topk), topo, last_token=0)
+
+    def test_choice_rule_is_the_widest_index(self):
+        topo = preset_topology("cart45")  # choices up to 3 at depth 1
+        check_choices(topo, 4)
+        with pytest.raises(TopologyError, match="choice index 3 at depth 1 exceeds head 1's top-k of 3"):
+            check_choices(topo, 3)
 
 
 def one_hot_logits(rows, vocab=24, scale=4.0):
@@ -254,7 +256,7 @@ class TestVerifyGreedy:
         paths = [(0,), (1,), (0, 0), (1, 0)]
         topo = TreeTopology.from_paths(paths)
         tokens = np.array([1, 3, 4, 5, 6])
-        tree = DraftTree(topo, tokens, np.ones(5), build_mask(topo))
+        tree = DraftTree(topo, tokens, np.ones(5))
         # row per node: root prefers token 4 (node 2), node 2 prefers token 6 (node 4)
         logits = one_hot_logits([4, 0, 6, 0, 0])
         res = verify(tree, logits, "greedy", 0.0)
@@ -280,7 +282,7 @@ class TestVerifyTypical:
         topo = TreeTopology.from_paths(paths)
         tokens = np.array([1, 3, 4])
         probs = np.array([1.0, 0.2, 0.7])
-        tree = DraftTree(topo, tokens, probs, build_mask(topo))
+        tree = DraftTree(topo, tokens, probs)
         logits = np.zeros((3, 24))
         logits[0, 3] = 3.0
         logits[0, 4] = 3.0  # both children comfortably acceptable
@@ -376,18 +378,18 @@ class TestCommit:
         ar_cache = model.new_cache()
         with T.no_grad():
             out = model.forward(prompt, ar_cache)
-            tok = sample(out.logits.data[-1], 0.0)
+            tok = sample(out.logits[-1], 0.0)
             ar_tokens = [tok]
             for _ in range(7):
                 out = model.forward([tok], ar_cache)
-                tok = sample(out.logits.data[-1], 0.0)
+                tok = sample(out.logits[-1], 0.0)
                 ar_tokens.append(tok)
 
         # speculative round with an arbitrary drafted chain, then AR continuation
         cache = model.new_cache()
         with T.no_grad():
             out = model.forward(prompt, cache)
-            root = sample(out.logits.data[-1], 0.0)
+            root = sample(out.logits[-1], 0.0)
             drafted = [root, ar_tokens[1], 99 % 24, 5, 6]  # correct first draft, then junk
             tree = chain_tree(drafted)
             base = cache.length
@@ -398,7 +400,7 @@ class TestCommit:
             tok = bonus
             while len(spec_tokens) < 8:
                 out = model.forward([tok], cache)
-                tok = sample(out.logits.data[-1], 0.0)
+                tok = sample(out.logits[-1], 0.0)
                 spec_tokens.append(tok)
         assert spec_tokens == ar_tokens
 
@@ -411,7 +413,7 @@ class TestCommit:
         emitted = 0
         with T.no_grad():
             out = model.forward(prompt, cache)
-            tok = sample(out.logits.data[-1], 0.0)
+            tok = sample(out.logits[-1], 0.0)
             emitted += 1
             for _ in range(2):
                 tree = chain_tree([tok, 1, 2, 3, 4])
@@ -433,7 +435,7 @@ class TestEmittedBounds:
         topo = preset_topology("cart45")
         tokens = rng.integers(0, 24, size=topo.node_count)
         probs = rng.random(topo.node_count)
-        tree = DraftTree(topo, tokens, probs, build_mask(topo))
+        tree = DraftTree(topo, tokens, probs)
         logits = rng.standard_normal((topo.node_count, 24))
         for rule, temp in (("greedy", 0.0), ("typical", 0.8)):
             res = verify(tree, logits, rule, temp, rng=np.random.default_rng(seed))
@@ -452,7 +454,7 @@ class TestMaskForwardCoherence:
         topo = preset_topology("cart45")
         tokens = rng.integers(0, 24, size=topo.node_count)
         tokens[0] = int(rng.integers(0, 24))
-        tree = DraftTree(topo, tokens, np.ones(topo.node_count), build_mask(topo))
+        tree = DraftTree(topo, tokens, np.ones(topo.node_count))
 
         cache = model.new_cache()
         with T.no_grad():
@@ -472,7 +474,7 @@ class TestMaskForwardCoherence:
             while True:
                 ref_cache.truncate(len(prompt))
                 out = model.forward(path_tokens, ref_cache)
-                best = int(np.argmax(out.logits.data[-1]))
+                best = int(np.argmax(out.logits[-1]))
                 nxt = next((c for c in children[node] if tree.tokens[c] == best), None)
                 if nxt is None:
                     bonus = best
