@@ -6,7 +6,6 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import Corpus, CorpusSpec, detokenize, make_corpus, tokenize
 from .drafter import DraftOutput, Drafter, DrafterConfig, DraftState, variant_config
 from .engine import ar_generate, speculative_generate
-from .gradcheck import grad_check
 from .model import KVCache, ModelConfig, TargetModel, TargetOutput, sample
 from .speculation import (
     DraftTree,
@@ -48,7 +47,6 @@ __all__ = [
     "compute_losses",
     "detokenize",
     "expand_tree",
-    "grad_check",
     "load_checkpoint",
     "lr_at",
     "make_corpus",

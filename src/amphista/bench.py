@@ -16,6 +16,7 @@ import statistics
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,7 +67,22 @@ FULLSCALE_REF_ACCEPTED_LEN = {
     "amphista": 3.50,
 }
 
-SPECULATIVE_MODES = ("oracle", "vanilla_chain", *VARIANTS)
+
+class Mode(NamedTuple):
+    """What a ``--mode`` decodes with; at temperature 0 every mode verifies greedily."""
+
+    variant: str | None  # the drafter variant it loads; None: it decodes without one
+    tree: str | None  # "run": the run's topology; "chain": a chain K deep; None: AR
+    sampled_rule: str | None  # its verification rule above temperature 0
+
+
+# Every ``--mode``, and the one place that says what it decodes with.
+MODES = {
+    "ar": Mode(None, None, None),
+    "oracle": Mode(None, "run", "typical"),
+    "vanilla_chain": Mode("amphista", "chain", "chain"),
+    **{name: Mode(name, "run", "typical") for name in VARIANTS},
+}
 
 
 class LosslessnessError(RuntimeError):
@@ -84,10 +100,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode != "ar" and self.mode not in SPECULATIVE_MODES:
-            raise ValueError(
-                f"unknown mode {self.mode!r}; expected 'ar' or one of {SPECULATIVE_MODES}"
-            )
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}; expected one of {tuple(MODES)}")
         if not 0 <= self.temperature < math.inf:
             raise ValueError(f"temperature must be >= 0 and finite, got {self.temperature:g}")
         check_positive(self, "n_prompts", "max_new_tokens", "prompt_len")
@@ -209,7 +223,8 @@ def run_prompt(
     prompt_index: int = 0,
 ) -> GenerationResult:
     """Dispatch one prompt through the configured decoding mode."""
-    if run.mode == "ar":
+    mode = MODES[run.mode]
+    if mode.tree is None:
         return ar_generate(
             model,
             prompt,
@@ -217,32 +232,25 @@ def run_prompt(
             run.temperature,
             _prompt_rng(run.seed, prompt_index, 0),
         )
-    rng = _prompt_rng(run.seed, prompt_index, 1)
-    if run.mode == "oracle":
-        topology = resolve_topology(run.topology)
-        session = OracleDrafterSession(model, k=topology.depth_max)
-        rule = "greedy" if run.temperature == 0 else "typical"
-    elif run.mode == "vanilla_chain":
-        if drafter is None:
-            raise ValueError("vanilla_chain mode needs a drafter")
-        session = DrafterSession(drafter)
+    if mode.variant is not None and drafter is None:
+        raise ValueError(f"mode {run.mode!r} needs a drafter")
+    if mode.tree == "chain":
         topology = chain_topology(drafter.config.K)
-        rule = "greedy" if run.temperature == 0 else "chain"
     else:
-        if drafter is None:
-            raise ValueError(f"mode {run.mode!r} needs a drafter")
-        session = DrafterSession(drafter)
         topology = resolve_topology(run.topology)
-        rule = "greedy" if run.temperature == 0 else "typical"
+    if mode.variant is None:
+        session = OracleDrafterSession(model, k=topology.depth_max)
+    else:
+        session = DrafterSession(drafter)
     return speculative_generate(
         model,
         session,
         prompt,
         topology,
         run.max_new_tokens,
-        rule=rule,
+        rule="greedy" if run.temperature == 0 else mode.sampled_rule,
         temperature=run.temperature,
-        rng=rng,
+        rng=_prompt_rng(run.seed, prompt_index, 1),
     )
 
 
@@ -258,7 +266,8 @@ def run_prompt_set(
     its report then reads lossless. Pass precomputed ``ar_refs`` to share the
     AR baseline across many evaluations."""
     results = []
-    checked = run.mode != "ar" and run.temperature == 0
+    mode = MODES[run.mode]
+    checked = mode.tree is not None and run.temperature == 0
     for i, prompt in enumerate(prompts):
         res = run_prompt(model, drafter, run, prompt, prompt_index=i)
         if checked:
@@ -278,7 +287,7 @@ def run_prompt_set(
         mode=run.mode,
         seed=run.seed,
         temperature=run.temperature,
-        topology="-" if run.mode == "ar" else ("chain" if run.mode == "vanilla_chain" else run.topology),
+        topology=run.topology if mode.tree == "run" else mode.tree or "-",
         n_prompts=len(prompts),
         total_steps=total_steps,
         total_tokens=total_tokens,
@@ -292,6 +301,13 @@ def pass_tokens_per_sec(results: list[GenerationResult]) -> float:
     """Tokens delivered per second of an already-run measurement pass."""
     wall = sum(r.wall_time for r in results)
     return sum(len(r.tokens) for r in results) / wall if wall > 0 else 0.0
+
+
+def write_csv(path: str | Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 # -- event log ------------------------------------------------------------------
@@ -512,32 +528,31 @@ def tree_search(
 
 def write_tree_search_csv(path: str | Path, candidates: list[TreeCandidate]) -> None:
     """Deterministic: the greedy tree and its predicted tokens/step per node count."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["nodes", "tokens_per_step", "paths"])
-        for c in candidates:
-            paths = " ".join(",".join(str(x) for x in p) for p in c.topology.paths)
-            w.writerow([c.topology.node_count, f"{c.tokens_per_step:.6f}", paths])
+    rows = []
+    for c in candidates:
+        paths = " ".join(",".join(str(x) for x in p) for p in c.topology.paths)
+        rows.append([c.topology.node_count, f"{c.tokens_per_step:.6f}", paths])
+    write_csv(path, ["nodes", "tokens_per_step", "paths"], rows)
 
 
 def write_tree_search_timing_csv(path: str | Path, result: TreeSearchResult) -> None:
     cost = result.cost
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["nodes", "draft_ms", "tree_ms_measured", "step_ms", "tokens_per_s", "chosen"])
-        for c in result.candidates:
-            n = c.topology.node_count
-            measured = f"{1e3 * cost.tree_s[n]:.4f}" if n in cost.tree_s else ""
-            w.writerow(
-                [
-                    n,
-                    f"{1e3 * cost.draft_s:.4f}",
-                    measured,
-                    f"{1e3 * cost.seconds(n):.4f}",
-                    f"{c.tokens_per_step / cost.seconds(n):.1f}",
-                    str(c is result.chosen).lower(),
-                ]
-            )
+    rows = []
+    for c in result.candidates:
+        n = c.topology.node_count
+        measured = f"{1e3 * cost.tree_s[n]:.4f}" if n in cost.tree_s else ""
+        rows.append(
+            [
+                n,
+                f"{1e3 * cost.draft_s:.4f}",
+                measured,
+                f"{1e3 * cost.seconds(n):.4f}",
+                f"{c.tokens_per_step / cost.seconds(n):.1f}",
+                str(c is result.chosen).lower(),
+            ]
+        )
+    header = ["nodes", "draft_ms", "tree_ms_measured", "step_ms", "tokens_per_s", "chosen"]
+    write_csv(path, header, rows)
 
 
 # -- ablation matrix -------------------------------------------------------------------
@@ -623,23 +638,20 @@ def write_ablation_csv(path: str | Path, rows: list[AblationRow]) -> None:
     header = ["rank", "variant", "mean_tokens_per_step"]
     header += [f"tokens_per_step_seed{s}" for s in seeds]
     header += ["fullscale_ref_accepted_len"]
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for rank, row in enumerate(rows, 1):
-            out = [rank, row.variant, f"{row.mean_tokens_per_step:.6f}"]
-            out += [f"{row.tokens_per_step[s]:.6f}" for s in seeds]
-            out += [f"{FULLSCALE_REF_ACCEPTED_LEN[row.variant]:.2f}"]
-            w.writerow(out)
+    table = [
+        [rank, row.variant, f"{row.mean_tokens_per_step:.6f}"]
+        + [f"{row.tokens_per_step[s]:.6f}" for s in seeds]
+        + [f"{FULLSCALE_REF_ACCEPTED_LEN[row.variant]:.2f}"]
+        for rank, row in enumerate(rows, 1)
+    ]
+    write_csv(path, header, table)
 
 
 def write_ablation_timing_csv(path: str | Path, rows: list[AblationRow]) -> None:
     seeds = sorted(rows[0].speedup) if rows else []
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["variant"] + [f"speedup_seed{s}" for s in seeds])
-        for row in rows:
-            w.writerow([row.variant] + [f"{row.speedup[s]:.3f}" for s in seeds])
+    header = ["variant"] + [f"speedup_seed{s}" for s in seeds]
+    table = [[row.variant] + [f"{row.speedup[s]:.3f}" for s in seeds] for row in rows]
+    write_csv(path, header, table)
 
 
 # -- head accuracy -------------------------------------------------------------------------
@@ -661,60 +673,54 @@ def write_head_accuracy_csv(
     tables = measure_head_accuracy(sequences, model, drafter, top_ns=top_ns)
     decoded = greedy_continuations(model, sequences, prompt_len)
     tables += (measure_greedy_top1(decoded, model, drafter),)
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["head"] + [f"top{n}" for n in top_ns] + ["greedy_top1"])
-        for k in range(len(tables[0])):
-            w.writerow([k + 1] + [f"{table[k]:.6f}" for table in tables])
+    header = ["head"] + [f"top{n}" for n in top_ns] + ["greedy_top1"]
+    rows = [[k + 1] + [f"{table[k]:.6f}" for table in tables] for k in range(len(tables[0]))]
+    write_csv(path, header, rows)
     return tables
 
 
 def write_metrics_csv(path: str | Path, reports: list[MetricsReport]) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(
-            [
-                "mode",
-                "seed",
-                "temperature",
-                "topology",
-                "prompts",
-                "total_steps",
-                "total_tokens",
-                "tokens_per_step",
-                "lossless",
-            ]
-        )
-        for r in reports:
-            w.writerow(
-                [
-                    r.mode,
-                    r.seed,
-                    f"{r.temperature:g}",
-                    r.topology,
-                    r.n_prompts,
-                    r.total_steps,
-                    r.total_tokens,
-                    f"{r.tokens_per_step:.6f}",
-                    "" if r.lossless is None else str(r.lossless).lower(),
-                ]
-            )
+    header = [
+        "mode",
+        "seed",
+        "temperature",
+        "topology",
+        "prompts",
+        "total_steps",
+        "total_tokens",
+        "tokens_per_step",
+        "lossless",
+    ]
+    rows = [
+        [
+            r.mode,
+            r.seed,
+            f"{r.temperature:g}",
+            r.topology,
+            r.n_prompts,
+            r.total_steps,
+            r.total_tokens,
+            f"{r.tokens_per_step:.6f}",
+            "" if r.lossless is None else str(r.lossless).lower(),
+        ]
+        for r in reports
+    ]
+    write_csv(path, header, rows)
 
 
 def write_timing_csv(path: str | Path, reports: list[MetricsReport]) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["mode", "seed", "tokens_per_sec", "ar_tokens_per_sec", "speedup_vs_ar"])
-        for r in reports:
-            w.writerow(
-                [
-                    r.mode,
-                    r.seed,
-                    f"{r.tokens_per_sec:.1f}",
-                    f"{r.ar_tokens_per_sec:.1f}",
-                    f"{r.speedup_vs_ar:.3f}",
-                ]
-            )
+    header = ["mode", "seed", "tokens_per_sec", "ar_tokens_per_sec", "speedup_vs_ar"]
+    rows = [
+        [
+            r.mode,
+            r.seed,
+            f"{r.tokens_per_sec:.1f}",
+            f"{r.ar_tokens_per_sec:.1f}",
+            f"{r.speedup_vs_ar:.3f}",
+        ]
+        for r in reports
+    ]
+    write_csv(path, header, rows)
 
 
 # -- selfcheck -------------------------------------------------------------------------------

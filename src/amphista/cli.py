@@ -17,6 +17,7 @@ from pathlib import Path
 from .bench import (
     CALIBRATION_PROMPTS,
     CALIBRATION_STREAM,
+    MODES,
     AblationConfig,
     LosslessnessError,
     RunConfig,
@@ -103,18 +104,36 @@ def _check_prompt_len(run_cfg: RunConfig, corpus_spec: CorpusSpec) -> None:
         )
 
 
-# Modes that decode without a drafter.
-_NO_DRAFTER = ("ar", "oracle")
+def _check_vocab(model_cfg: ModelConfig, corpus_spec: CorpusSpec, prompt=None) -> None:
+    """Reject input tokens that the target has no id for, before any work:
+    ``prompt``'s when given, else those of the corpus and its prompts."""
+    if prompt is not None:
+        what, largest = "--prompt", max(prompt)
+    elif corpus_spec.kind == "text":
+        what = f"corpus_text_path {corpus_spec.text_path!r}"
+        try:
+            largest = max(Path(corpus_spec.text_path).read_bytes(), default=0)
+        except OSError as err:
+            raise ConfigError(f"cannot read {what}: {err.strerror}") from None
+    else:
+        what = f"corpus_byte_offset {corpus_spec.byte_offset} + corpus_vocab {corpus_spec.vocab}"
+        largest = corpus_spec.byte_offset + corpus_spec.vocab - 1
+    if largest >= model_cfg.vocab_size:
+        raise ConfigError(
+            f"{what} reaches byte {largest}; token ids must be below "
+            f"vocab_size {model_cfg.vocab_size}"
+        )
 
 
 def _check_topology(run_cfg, model_cfg, drafter_cfg) -> None:
     """Reject the run's tree before any work: it must resolve, a drafter
     variant's must be K deep, and each choice index must fall in its head's
-    top-k list. ``ar`` and ``vanilla_chain`` do not decode on it."""
-    if run_cfg.mode in ("ar", "vanilla_chain"):
+    top-k list. A mode that does not draft onto the run's tree skips it."""
+    mode = MODES[run_cfg.mode]
+    if mode.tree != "run":
         return
     topology = resolve_topology(run_cfg.topology)
-    if run_cfg.mode in VARIANTS and topology.depth_max != drafter_cfg.K:
+    if mode.variant is not None and topology.depth_max != drafter_cfg.K:
         raise TopologyError(
             f"topology {run_cfg.topology!r} has depth {topology.depth_max}; "
             f"the drafter has K={drafter_cfg.K} heads"
@@ -126,17 +145,17 @@ def _check_topology(run_cfg, model_cfg, drafter_cfg) -> None:
 
 
 def _variant_for_mode(mode: str, base: DrafterConfig) -> DrafterConfig:
-    return variant_config("amphista" if mode in (*_NO_DRAFTER, "vanilla_chain") else mode, base)
+    return variant_config(MODES[mode].variant or "amphista", base)
 
 
 def _build_system(args, model_cfg, drafter_cfg, run_cfg):
-    """The f64 target and the drafter that ``--mode`` decodes with; ``ar`` and
-    ``oracle`` decode without one, so they get None and load only the
-    checkpoint's ``target.`` keys."""
+    """The f64 target and the drafter that ``--mode`` decodes with; a mode
+    whose ``MODES`` row names no variant (``ar``, ``oracle``) gets None and
+    loads only the checkpoint's ``target.`` keys."""
     model = build_model(model_cfg, run_cfg.seed)
     model.freeze()
     drafter = None
-    if run_cfg.mode not in _NO_DRAFTER:
+    if MODES[run_cfg.mode].variant is not None:
         drafter = build_drafter(_variant_for_mode(run_cfg.mode, drafter_cfg), model, run_cfg.seed)
     if args.ckpt:
         state = load_checkpoint(args.ckpt)
@@ -170,6 +189,7 @@ def _build_system(args, model_cfg, drafter_cfg, run_cfg):
 def cmd_train(args) -> int:
     _, model_cfg, drafter_cfg, train_cfg, corpus_spec, run_cfg = _build_configs(args)
     _check_prompt_len(run_cfg, corpus_spec)
+    _check_vocab(model_cfg, corpus_spec)
     out = _outdir(args)
     drafter_cfg = _variant_for_mode(run_cfg.mode, drafter_cfg)
     seed = train_cfg.seed
@@ -215,7 +235,9 @@ def cmd_generate(args) -> int:
         prompt = tokenize(args.prompt)
         if not prompt:
             raise ConfigError("--prompt is empty")
+        _check_vocab(model_cfg, corpus_spec, prompt)
     else:
+        _check_vocab(model_cfg, corpus_spec)
         prompt = make_prompts(corpus_spec, run_cfg.seed, 1, run_cfg.prompt_len)[0]
     check_budget(model_cfg, ("prompt", len(prompt)), ("max_new_tokens", run_cfg.max_new_tokens))
     model, drafter = _build_system(args, model_cfg, drafter_cfg, run_cfg)
@@ -237,6 +259,7 @@ def cmd_generate(args) -> int:
 def cmd_bench(args) -> int:
     _, model_cfg, drafter_cfg, _, corpus_spec, run_cfg = _build_configs(args)
     _check_topology(run_cfg, model_cfg, drafter_cfg)
+    _check_vocab(model_cfg, corpus_spec)
     check_budget(
         model_cfg, ("prompt_len", run_cfg.prompt_len), ("max_new_tokens", run_cfg.max_new_tokens)
     )
@@ -272,9 +295,10 @@ def cmd_tree_search(args) -> int:
         raise ConfigError(f"tree-search calibrates a drafter variant, not --mode {run_cfg.mode}")
     if run_cfg.temperature != 0:
         raise ConfigError(
-            f"tree-search calibrates greedily, not at --temperature {run_cfg.temperature:g}"
+            f"tree-search calibrates greedily, not at temperature {run_cfg.temperature:g}"
         )
     _check_topology(run_cfg, model_cfg, drafter_cfg)
+    _check_vocab(model_cfg, corpus_spec)
     # calibration decodes each prompt's AR reference to max_new_tokens + K
     check_budget(
         model_cfg,
@@ -311,6 +335,7 @@ def cmd_ablate(args) -> int:
     raw, model_cfg, drafter_cfg, train_cfg, corpus_spec, run_cfg = _build_configs(args)
     seeds = coerce_dataclass(AblationConfig, raw, prefix="ablation_").seeds
     _check_prompt_len(run_cfg, corpus_spec)
+    _check_vocab(model_cfg, corpus_spec)
     # every variant decodes on the run's tree, whatever its mode
     _check_topology(replace(run_cfg, mode="amphista"), model_cfg, drafter_cfg)
     check_budget(
@@ -334,8 +359,9 @@ def cmd_ablate(args) -> int:
 
 def cmd_head_acc(args) -> int:
     _, model_cfg, drafter_cfg, _, corpus_spec, run_cfg = _build_configs(args)
-    if run_cfg.mode in _NO_DRAFTER:
+    if MODES[run_cfg.mode].variant is None:
         raise ConfigError(f"head-acc measures a drafter, and --mode {run_cfg.mode} has none")
+    _check_vocab(model_cfg, corpus_spec)
     model, drafter = _build_system(args, model_cfg, drafter_cfg, run_cfg)
     out = _outdir(args)
     # the held-out split that drafter training evaluates on
@@ -383,7 +409,8 @@ _COMMANDS = {
                  f"{_DECODE} --prompt --max-new-tokens"),
     "bench": (cmd_bench, "AR vs speculative decoding on a prompt set",
               f"{_DECODE} --max-new-tokens"),
-    "tree-search": (cmd_tree_search, "build the draft tree of most tokens per second", _DECODE),
+    "tree-search": (cmd_tree_search, "build the draft tree of most tokens per second",
+                    "--config --seed --out --mode --topology --ckpt"),
     "ablate": (cmd_ablate, "train and compare the ablation variants",
                "--config --seed --out --temperature --topology"),
     "head-acc": (cmd_head_acc, "per-head top-1/top-5 and greedy top-1 accuracy table",

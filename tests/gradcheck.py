@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Parameter, backward
+from amphista.tensor import Parameter, backward
 
 
 @dataclass

@@ -25,7 +25,6 @@ from amphista.checkpoint import dump_state
 from amphista.corpus import Corpus, CorpusSpec, make_corpus, make_prompts
 from amphista.drafter import Drafter, DrafterConfig
 from amphista.engine import OracleDrafterSession, speculative_generate
-from amphista.gradcheck import grad_check
 from amphista.model import ModelConfig, TargetModel
 from amphista.speculation import TreeTopology, chain_accept_step, preset_topology
 from amphista.training import (
@@ -38,6 +37,7 @@ from amphista.training import (
 )
 
 from conftest import random_tree_paths
+from gradcheck import grad_check
 
 TOY_MODEL = ModelConfig()  # V=256, d=64, 4 layers, 4 heads, ffn 256, ctx 512
 ABLATION_CORPUS = CorpusSpec(n_sequences=256, seq_len=40)

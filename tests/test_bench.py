@@ -1,12 +1,14 @@
 """Harness: tokenizer, decoding-loop metrics, head accuracy, ablation, tree attention."""
 
+import argparse
 import hashlib
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from amphista import bench, training
+from amphista import bench, cli, training
 from amphista import tensor as T
 from amphista.bench import (
     CALIBRATION_PROMPTS,
@@ -32,7 +34,7 @@ from amphista.corpus import (
     make_prompts,
     tokenize,
 )
-from amphista.drafter import VARIANTS, DrafterConfig
+from amphista.drafter import VARIANTS, DrafterConfig, variant_config
 from amphista.engine import (
     DrafterSession,
     EngineError,
@@ -41,7 +43,7 @@ from amphista.engine import (
     speculative_generate,
 )
 from amphista.model import ModelConfig, sample
-from amphista.speculation import preset_topology
+from amphista.speculation import TopologyError, chain_topology, preset_topology
 from amphista.training import (
     TrainConfig,
     TrainReport,
@@ -50,6 +52,7 @@ from amphista.training import (
     split_corpus,
 )
 from conftest import (
+    TINY_MODEL,
     make_tiny_drafter,
     make_tiny_model,
     predicted_tokens_per_step,
@@ -292,9 +295,8 @@ class TestDecodingLoops:
         """Every decode mode runs on plain arrays end to end: with ``Tensor``
         construction made to raise, each still finishes its budget."""
         model = make_tiny_model(seed=5)
-        amphista, medusa = (
-            make_tiny_drafter(model, seed=6, **VARIANTS[name]) for name in ("amphista", "medusa")
-        )
+        drafters = {name: make_tiny_drafter(model, seed=6, **VARIANTS[name]) for name in VARIANTS}
+        amphista, medusa = drafters["amphista"], drafters["medusa"]
 
         def no_tensor(*args, **kwargs):
             raise AssertionError("decoding built a Tensor")
@@ -306,6 +308,12 @@ class TestDecodingLoops:
             (medusa, RunConfig(mode="medusa", topology="searched", max_new_tokens=16)),
             (amphista, RunConfig(mode="vanilla_chain", temperature=0.8, max_new_tokens=16)),
             (None, RunConfig(mode="oracle", topology="chain", max_new_tokens=16)),
+        ]
+        # every mode with a sampled rule, each variant with its own drafter
+        runs += [
+            (drafters.get(row.variant), RunConfig(mode=name, temperature=0.8, max_new_tokens=16))
+            for name, row in bench.MODES.items()
+            if row.sampled_rule is not None
         ]
         for drafter, run in runs:
             assert len(run_prompt(model, drafter, run, [1, 2, 3]).tokens) == 16, run.mode
@@ -369,6 +377,53 @@ class TestDecodingLoops:
         _, a = run_prompt_set(model, drafter, run, [[1, 1, 2], [9, 9, 9]])
         _, b = run_prompt_set(model, drafter, run, [[1, 1, 2], [9, 9, 9]])
         assert [r.tokens for r in a] == [r.tokens for r in b]
+
+
+class TestModes:
+    @pytest.mark.parametrize("name", list(bench.MODES))
+    def test_row_decides_drafter_tree_and_rule(self, monkeypatch, name):
+        """A ``MODES`` row alone decides what its mode decodes with: a drafter
+        exactly when it names a variant, the tree it names, greedy decoding
+        equal to AR at temperature 0 and its own rule above it, and a depth
+        check exactly when a variant drafts onto the run's tree."""
+        row = bench.MODES[name]
+        base = DrafterConfig(sal_heads=2)
+        run = RunConfig(mode=name, topology="searched", max_new_tokens=16)
+        model, drafter = cli._build_system(argparse.Namespace(ckpt=None), TINY_MODEL, base, run)
+        if row.variant is None:
+            assert drafter is None
+        else:
+            assert drafter.config == variant_config(row.variant, base)
+
+        calls = []
+        real = bench.speculative_generate
+
+        def recording(model, session, prompt, topology, max_new_tokens, **kwargs):
+            calls.append((session, topology.paths, kwargs["rule"]))
+            return real(model, session, prompt, topology, max_new_tokens, **kwargs)
+
+        monkeypatch.setattr(bench, "speculative_generate", recording)
+        prompt = [1, 2, 3]
+        greedy = run_prompt(model, drafter, run, prompt)
+        assert greedy.tokens == ar_generate(model, prompt, 16).tokens
+        if row.tree is None:
+            assert calls == []
+        else:
+            trees = {"run": preset_topology("searched"), "chain": chain_topology(4)}
+            (session, paths, rule), = calls
+            assert isinstance(session, OracleDrafterSession) == (row.variant is None)
+            assert (paths, rule) == (trees[row.tree].paths, "greedy")
+        if row.sampled_rule is not None:
+            hot = run_prompt(model, drafter, replace(run, temperature=0.8), prompt)
+            assert len(hot.tokens) == 16
+            assert calls[-1][2] == row.sampled_rule
+
+        shallow = DrafterConfig(sal_heads=2, K=3)  # the run's tree is 4 deep
+        if row.variant is not None and row.tree == "run":
+            with pytest.raises(TopologyError, match="has depth 4; the drafter has K=3 heads"):
+                cli._check_topology(run, TINY_MODEL, shallow)
+        else:
+            cli._check_topology(run, TINY_MODEL, shallow)
 
 
 class TestEventLog:

@@ -200,8 +200,7 @@ PINNED_FLAGS = {
                  "--ckpt", "--prompt", "--max-new-tokens"},
     "bench": {"--config", "--seed", "--out", "--mode", "--temperature", "--topology",
               "--ckpt", "--max-new-tokens"},
-    "tree-search": {"--config", "--seed", "--out", "--mode", "--temperature", "--topology",
-                    "--ckpt"},
+    "tree-search": {"--config", "--seed", "--out", "--mode", "--topology", "--ckpt"},
     "ablate": {"--config", "--seed", "--out", "--temperature", "--topology"},
     "head-acc": {"--config", "--seed", "--out", "--mode", "--ckpt"},
     "selfcheck": {"--config", "--seed"},
@@ -218,6 +217,7 @@ UNREAD_FLAGS = [
     ("selfcheck", "--mode"),
     ("selfcheck", "--temperature"),
     ("selfcheck", "--topology"),
+    ("tree-search", "--temperature"),
 ]
 
 
@@ -225,7 +225,7 @@ class TestFlags:
     def test_flag_sets_are_pinned(self):
         flags = {name: set(spec[2].split()) for name, spec in cli._COMMANDS.items()}
         assert flags == PINNED_FLAGS
-        assert sum(len(f) for f in flags.values()) == 40
+        assert sum(len(f) for f in flags.values()) == 39
 
     @pytest.mark.parametrize(
         "command, flag", [pytest.param(c, f, id=f"{c}{f}") for c, f in UNREAD_FLAGS]
@@ -394,24 +394,49 @@ class TestNamedErrors:
             assert not (tmp_path / "ha").exists()
 
     @pytest.mark.parametrize(
-        "flags, named",
+        "flags, extra_cfg, named",
         [
-            (["--mode", "ar"], "--mode ar"),
-            (["--mode", "oracle"], "--mode oracle"),
-            (["--temperature", "0.8"], "--temperature 0.8"),
+            pytest.param(["--mode", "ar"], "", "--mode ar", id="flags0---mode ar"),
+            pytest.param(["--mode", "oracle"], "", "--mode oracle", id="flags1---mode oracle"),
+            # tree-search has no --temperature flag; the id is the one the flag case had
+            pytest.param([], "temperature=0.8\n", "calibrates greedily, not at temperature 0.8",
+                         id="flags2---temperature 0.8"),
         ],
     )
     def test_tree_search_needs_greedy_drafter_before_building(
-        self, tiny_cfg, tmp_path, capsys, monkeypatch, flags, named
+        self, tmp_path, capsys, monkeypatch, flags, extra_cfg, named
     ):
         def unreachable(*args):
             raise AssertionError("_build_system ran")
 
         monkeypatch.setattr(cli, "_build_system", unreachable)
-        argv = ["tree-search", "--config", tiny_cfg, "--out", str(tmp_path / "ts"), *flags]
+        cfg = tmp_path / "ts.cfg"
+        cfg.write_text(TINY + extra_cfg)
+        argv = ["tree-search", "--config", str(cfg), "--out", str(tmp_path / "ts"), *flags]
         assert main(argv) == 1
         assert named in self._one_line(capsys)
         assert not (tmp_path / "ts").exists()
+
+    @pytest.mark.parametrize("command", ["ablate", "tree-search", "head-acc"])
+    def test_text_corpus_outside_the_vocabulary(self, tmp_path, capsys, monkeypatch, command):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work began before the corpus was checked")
+
+        monkeypatch.setattr(cli, "_build_system", unreachable)
+        monkeypatch.setattr(cli, "run_ablation_suite", unreachable)
+        text = tmp_path / "corpus.txt"
+        text.write_bytes(b"speculative decoding " * 4 + bytes([200]))
+        for path, named in [
+            (text, f"corpus_text_path {str(text)!r} reaches byte 200; token ids must be below "
+                   "vocab_size 128"),
+            (tmp_path / "absent.txt", "cannot read corpus_text_path"),
+        ]:
+            cfg = tmp_path / "text.cfg"
+            cfg.write_text(TINY + f"vocab_size=128\ncorpus_kind=text\ncorpus_text_path={path}\n")
+            argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+            assert main(argv) == 1
+            assert named in self._one_line(capsys)
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command, flags, extra_cfg, named",
@@ -485,6 +510,14 @@ class TestNamedErrors:
             _case(43, "generate", ["--prompt", "x" * 250, "--max-new-tokens", "8"], "",
                   "prompt 250 + max_new_tokens 8 exceeds the context window of 256 tokens"),
             _case(44, "generate", ["--prompt", ""], "", "--prompt is empty"),
+            _case(45, "train", [], "vocab_size=64\n",
+                  "corpus_byte_offset 64 + corpus_vocab 16 reaches byte 79; token ids must be "
+                  "below vocab_size 64"),
+            _case(46, "bench", [], "vocab_size=64\n",
+                  "corpus_byte_offset 64 + corpus_vocab 16 reaches byte 79; token ids must be "
+                  "below vocab_size 64"),
+            _case(47, "generate", ["--prompt", "DGDG"], "vocab_size=64\n",
+                  "--prompt reaches byte 71; token ids must be below vocab_size 64"),
         ],
     )
     def test_rejected_config_value_before_building(

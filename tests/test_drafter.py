@@ -8,7 +8,6 @@ import pytest
 
 from amphista import tensor as T
 from amphista.drafter import TOP_K, VARIANTS, Drafter, DrafterConfig, topk_lists, variant_config
-from amphista.gradcheck import grad_check
 from amphista.model import ModelConfig, TargetModel
 from amphista.tensor import DimensionError, NonFiniteError, Tensor
 from amphista.training import (
@@ -20,6 +19,7 @@ from amphista.training import (
 )
 
 from conftest import make_tiny_drafter, make_tiny_model
+from gradcheck import grad_check
 
 
 def rand_hidden(rng, d=16):

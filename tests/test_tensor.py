@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from amphista import nn
 from amphista import tensor as T
-from amphista.gradcheck import grad_check
 from amphista.tensor import DimensionError, NonFiniteError, Parameter, Tensor
+
+from gradcheck import grad_check
 
 
 def finite_difference(fn, params, eps=1e-6):
